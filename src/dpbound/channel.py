@@ -25,6 +25,7 @@ from .errors import (
     FieldMismatch,
     InfeasibleFamily,
     NegativeParameter,
+    NonFinite,
     NonpositiveVariance,
     NotPSD,
     PartitionMismatch,
@@ -162,9 +163,10 @@ def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
     """Validate a raw channel description and return an immutable model.
 
     ``Q_s`` is symmetrized before any check.  Raises ``DimensionMismatch``,
-    ``NotPSD``, ``QsRankDeficient``, ``NegativeParameter`` or
-    ``FieldMismatch`` as appropriate.  Validation is idempotent: feeding an
-    accepted model's fields back returns an equal model.
+    ``NotPSD``, ``QsRankDeficient``, ``NegativeParameter``, ``NonFinite``
+    (NaN or inf in ``H`` or ``Q_s``, or ``P = inf``; ``a_max = inf`` is
+    legal) or ``FieldMismatch`` as appropriate.  Validation is idempotent:
+    feeding an accepted model's fields back returns an equal model.
     """
     if isinstance(field, str):
         field = FieldKind(field.lower())
@@ -175,6 +177,8 @@ def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
     P = float(P)
     if not P >= 0.0:
         raise NegativeParameter(f"P must be nonnegative, got {P}")
+    if math.isinf(P):
+        raise NonFinite("P must be finite, got inf")
     a_max = float(a_max)
     if math.isnan(a_max) or a_max < 0.0:
         raise NegativeParameter(f"a_max must be in [0, inf], got {a_max}")
@@ -182,9 +186,13 @@ def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
     H = _as_matrix(H, "H")
     if H.shape != (m_r, m_t):
         raise DimensionMismatch(f"H must be {m_r}x{m_t}, got {H.shape}")
+    if not np.isfinite(H).all():
+        raise NonFinite("H has NaN or infinite entries")
     Q = _as_matrix(Q_s, "Q_s")
     if Q.shape != (m_s, m_s):
         raise DimensionMismatch(f"Q_s must be {m_s}x{m_s}, got {Q.shape}")
+    if not np.isfinite(Q).all():
+        raise NonFinite("Q_s has NaN or infinite entries")
     if field is FieldKind.REAL:
         if np.iscomplexobj(H) and np.abs(H.imag).max() > 0:
             raise FieldMismatch("real-field model with complex H")

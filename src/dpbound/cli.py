@@ -15,17 +15,14 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .baselines import interference_free_capacity, tin_worst_case
 from .channel import FieldKind, inr_to_amax, load_model
 from .dof import DofScenario, InrScaling, dof_upper_bound
 from .errors import DirtyPaperError
 from .general import SearchConfig, capacity_upper_bound
-from .oracle import (
-    SEED_LADDER,
-    feasible_concavity_pairs,
-    logdet_concavity_check,
-    run_equivalence_suite,
-)
+from .oracle import concavity_trials, concavity_verdicts, run_equivalence_suite
 from .rank1 import Rank1Inputs, prelog_gap_certificate, prelog_reference, rank_one_bound
 from .sweep import SweepSpec, emit_data_files, run_sweep
 
@@ -126,12 +123,38 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# concavity trials per verify run, split evenly over the seed ladder
+CONCAVITY_TRIALS = 1000
+
+
+def _seed_ladder(text: str) -> range:
+    """Parse a ``verify`` seed ladder ``a..b``: seeds a to b inclusive.
+
+    Rejects malformed and empty ladders, negative seeds, and ladders too
+    long for every seed to get one of the ``CONCAVITY_TRIALS`` trials.
+    """
+    lo, sep, hi = text.partition("..")
+    try:
+        if not sep:
+            raise ValueError(text)
+        ladder = range(int(lo), int(hi) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a..b with integer seeds, got {text!r}") from None
+    if not ladder:
+        raise argparse.ArgumentTypeError(f"seed ladder {text!r} is empty")
+    if ladder.start < 0:
+        raise argparse.ArgumentTypeError(
+            f"seeds must be nonnegative, got {text!r}")
+    if len(ladder) > CONCAVITY_TRIALS:
+        raise argparse.ArgumentTypeError(
+            f"seed ladder {text!r} has {len(ladder)} seeds; at most "
+            f"{CONCAVITY_TRIALS} fit {CONCAVITY_TRIALS} concavity trials")
+    return ladder
+
+
 def _cmd_verify(args) -> int:
-    if ".." in args.seed_ladder:
-        lo, hi = (int(x) for x in args.seed_ladder.split("..", 1))
-    else:
-        lo, hi = 0, 9
-    ladder = list(range(lo, hi + 1)) or list(SEED_LADDER)
+    ladder = args.seed_ladder
 
     _note(args, "running aligned-vs-brute-force equivalence suite (20 cases)")
     records = run_equivalence_suite()
@@ -140,11 +163,9 @@ def _cmd_verify(args) -> int:
     _note(args, "running log-det concavity trials")
     trials = 0
     concave_ok = True
-    per_seed = 1000 // len(ladder)
-    for seed in ladder:
-        for M, Psi in feasible_concavity_pairs(seed, per_seed):
-            concave_ok &= logdet_concavity_check(M, Psi)
-            trials += 1
+    for order, M, Psi in concavity_trials(ladder, CONCAVITY_TRIALS // len(ladder)):
+        concave_ok &= bool(np.all(concavity_verdicts(M, Psi)))
+        trials += len(order)
 
     passed = equiv_ok and concave_ok
     _emit({
@@ -153,7 +174,7 @@ def _cmd_verify(args) -> int:
                         "max_gap": max(r["gap"] for r in records),
                         "ok": equiv_ok},
         "concavity": {"trials": trials, "ok": concave_ok},
-        "seed_ladder": ladder,
+        "seed_ladder": list(ladder),
     })
     return 0 if passed else 1
 
@@ -180,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--model", required=True, help="model JSON file")
     p_gen.add_argument("--ranks", default=None,
                        help="signal ranks to try, e.g. 1..2 or 1,3")
-    p_gen.add_argument("--mode", choices=["heuristic"], default="heuristic")
     p_gen.add_argument("--restarts", type=int, default=16)
     p_gen.add_argument("--seed", type=int, default=_env_seed())
     p_gen.set_defaults(func=_cmd_bound_general)
@@ -216,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the oracle suite")
-    p_verify.add_argument("--seed-ladder", default="0..9")
+    p_verify.add_argument("--seed-ladder", type=_seed_ladder, default="0..9",
+                          help="seeds a..b of the concavity trials")
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -25,6 +25,10 @@ class NegativeParameter(DirtyPaperError):
     """A nonnegative scalar parameter is negative (or otherwise invalid)."""
 
 
+class NonFinite(DirtyPaperError):
+    """A matrix entry or the power budget is NaN or infinite."""
+
+
 class FieldMismatch(DirtyPaperError):
     """Complex-valued entries supplied for a real-field model."""
 

@@ -13,11 +13,11 @@ import math
 
 import numpy as np
 
-from .channel import ChannelModel, InputCovariance, _hermitize, validate_model
+from .channel import RANK_TOL, ChannelModel, InputCovariance, _hermitize, validate_model
 from .errors import InfeasiblePsi, NotRankOne, TooLarge
 from .general import inner_inf
 from .rank1 import rank1_inputs_from_model, rank_one_bound
-from .spectral import logdet_psd, signal_subspace, whiten_state
+from .spectral import signal_subspace, whiten_state
 
 SEED_LADDER = tuple(range(10))
 
@@ -69,12 +69,11 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
     lam = np.asarray(sub.spectrum)
     v = np.asarray(whiten_state(model.Q_s).eigvals)
     R = int(grid_resolution)
-    gains = np.linspace(0.0, model.a_max, R)
     if model.a_max == 0.0:
         return math.inf
 
     if M0 == 1 and m_s == 1:
-        t = gains ** 2 * v[0]
+        t = np.linspace(0.0, model.a_max, R) ** 2 * v[0]
         vals = _grid_objective_scalar(lam, [t], m_s, M0, kappa)
         return float(np.min(vals))
 
@@ -93,8 +92,8 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
         g2 = g[None, :, None] ** 2
         t1 = g1 * w[None, None, :]
         t2 = g2 * u[None, None, :]
-        vals = _grid_objective_scalar(lam, [t1, t2], m_s, M0, kappa)
-        return float(np.min(vals))
+        return _blockwise_min(n_gain, n_gain * n_ang, lambda rows: (
+            _grid_objective_scalar(lam, [t1[rows], t2], m_s, M0, kappa)))
 
     # M0 == 2: a single member (two groups never fit in m_r * m_s <= 4)
     if m_s == 1:
@@ -119,7 +118,7 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
     phi = np.linspace(0.0, math.pi, n_ang, endpoint=False)
     theta = np.linspace(0.0, math.pi, n_ang, endpoint=False)
     gax = np.linspace(0.0, model.a_max, n_gain)
-    g1 = gax[:, None, None, None]
+    g1_axis = gax[:, None, None, None]
     g2 = gax[None, :, None, None]
     ct, st = np.cos(theta), np.sin(theta)
     ct = ct[None, None, :, None]
@@ -130,61 +129,142 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
     M11 = v[0] * ct ** 2 + v[1] * st ** 2
     M22 = v[0] * st ** 2 + v[1] * ct ** 2
     M12 = (v[0] - v[1]) * ct * st
-    K11 = g1 ** 2 * M11
-    K22 = g2 ** 2 * M22
-    K12 = g1 * g2 * M12
-    T11 = cp ** 2 * K11 + sp ** 2 * K22 - 2.0 * cp * sp * K12
-    T22 = sp ** 2 * K11 + cp ** 2 * K22 + 2.0 * cp * sp * K12
-    T12 = cp * sp * (K11 - K22) + (cp ** 2 - sp ** 2) * K12
-    det_t = (g1 * g2) ** 2 * v[0] * v[1]
-    det_n = (1.0 + lam[0] + T11) * (1.0 + lam[1] + T22) - T12 ** 2
-    with np.errstate(divide="ignore"):
-        total = (math.log2((1.0 + lam[0]) * (1.0 + lam[1]))
-                 + np.log2(det_n) - np.log2(np.broadcast_to(
-                     det_t, det_n.shape)))
-    return float(np.min(kappa * total / 2.0))
+    log_signal = math.log2((1.0 + lam[0]) * (1.0 + lam[1]))
+
+    def gain_block(rows):
+        g1 = g1_axis[rows]
+        K11 = g1 ** 2 * M11
+        K22 = g2 ** 2 * M22
+        K12 = g1 * g2 * M12
+        T11 = cp ** 2 * K11 + sp ** 2 * K22 - 2.0 * cp * sp * K12
+        T22 = sp ** 2 * K11 + cp ** 2 * K22 + 2.0 * cp * sp * K12
+        T12 = cp * sp * (K11 - K22) + (cp ** 2 - sp ** 2) * K12
+        det_t = (g1 * g2) ** 2 * v[0] * v[1]
+        det_n = (1.0 + lam[0] + T11) * (1.0 + lam[1] + T22) - T12 ** 2
+        with np.errstate(divide="ignore"):
+            total = log_signal + np.log2(det_n) - np.log2(det_t)
+        return kappa * total / 2.0
+
+    return _blockwise_min(n_gain, n_gain * n_ang ** 2, gain_block)
+
+
+# Grid points evaluated at once: each float64 temporary of a block stays
+# within 512 KB, which keeps it in cache; a whole grid is up to 6 MB.
+_BLOCK_POINTS = 1 << 16
+
+
+def _blockwise_min(n_rows: int, row_points: int, block) -> float:
+    """Minimum of a grid evaluated in blocks of consecutive first-axis rows.
+
+    ``block(rows)`` returns the grid values for the slice ``rows``; each
+    row holds ``row_points`` points.  The minimum of the blocks' minima
+    is the grid minimum exactly, NaN included.
+    """
+    step = max(1, _BLOCK_POINTS // row_points)
+    return float(np.min([np.min(block(slice(i, i + step)))
+                         for i in range(0, n_rows, step)]))
+
+
+def concavity_trials(seeds, per_seed: int, max_dim: int = 4):
+    """Draw seeded (M, Psi) trials and yield them grouped by dimension.
+
+    Each seed's generator draws its ``per_seed`` trials one after another,
+    each as a dimension, a factor of M, a perturbation and a scale in that
+    order, so a seed gives the same pairs in any ladder.  M is positive
+    definite, and Psi is a random symmetric matrix scaled just inside the
+    feasibility boundary (via the whitened spectrum of Psi against M), so
+    the pairs exercise the inequality near its tight edge.
+
+    Yields ``(order, M, Psi)`` per dimension: ``M`` and ``Psi`` are
+    stacks of shape (k, n, n) and ``order`` gives each pair's position in
+    the seed-by-seed trial sequence.
+    """
+    draws = {}  # dimension -> (positions, B factors, C factors, scales)
+    position = 0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for _ in range(per_seed):
+            n = int(rng.integers(1, max_dim + 1))
+            positions, Bs, Cs, scales = draws.setdefault(n, ([], [], [], []))
+            positions.append(position)
+            Bs.append(rng.standard_normal((n, n)))
+            Cs.append(rng.standard_normal((n, n)))
+            scales.append(rng.uniform())
+            position += 1
+    for n, (positions, Bs, Cs, scales) in sorted(draws.items()):
+        B = np.array(Bs)
+        C = np.array(Cs)
+        M = B @ _transpose(B) + 0.1 * np.eye(n)
+        Psi = (C + _transpose(C)) / 2.0
+        L = np.linalg.cholesky(M)
+        W = _transpose(np.linalg.solve(L, _transpose(np.linalg.solve(L, Psi))))
+        w = np.linalg.eigvalsh(_hermitize_stack(W))
+        t_max = 1.0 / np.maximum(np.max(np.abs(w), axis=-1), 1e-12)
+        scale = 0.95 * t_max * np.array(scales)
+        yield np.array(positions), M, Psi * scale[:, None, None]
 
 
 def feasible_concavity_pairs(seed: int, count: int, max_dim: int = 4):
-    """Yield seeded (M, Psi) pairs with M positive definite and M +/- Psi PSD.
+    """Yield seed's ``count`` (M, Psi) pairs of :func:`concavity_trials` in order."""
+    pairs = [None] * count
+    for order, M, Psi in concavity_trials((seed,), count, max_dim):
+        for i, M_i, Psi_i in zip(order, M, Psi):
+            pairs[i] = (M_i, Psi_i)
+    yield from pairs
 
-    Psi is a random symmetric matrix scaled just inside the feasibility
-    boundary (via the whitened spectrum of Psi against M), so the pairs
-    exercise the inequality near its tight edge.
+
+def concavity_verdicts(M, Psi, tol: float = 1e-9) -> np.ndarray:
+    """Check log2 det(M+Psi) + log2 det(M-Psi) <= 2 log2 det(M) + tol per pair.
+
+    ``M`` and ``Psi`` are stacks of shape (k, n, n), real or complex; both
+    are Hermitized first.  Returns k booleans.  A pair whose left side is
+    -inf (M + Psi or M - Psi singular) holds trivially.  Raises
+    :class:`InfeasiblePsi` when any M +/- Psi is not PSD (the premise
+    fails, which says nothing about the inequality).
     """
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(1, max_dim + 1))
-        B = rng.standard_normal((n, n))
-        M = B @ B.T + 0.1 * np.eye(n)
-        C = rng.standard_normal((n, n))
-        Psi = (C + C.T) / 2.0
-        L = np.linalg.cholesky(M)
-        W = np.linalg.solve(L, np.linalg.solve(L, Psi).T).T
-        w = np.linalg.eigvalsh(_hermitize(W))
-        t_max = 1.0 / max(float(np.max(np.abs(w))), 1e-12)
-        yield M, Psi * (0.95 * t_max * float(rng.uniform()))
+    M = np.asarray(M)
+    M = _hermitize_stack(M if np.iscomplexobj(M) else M.astype(float))
+    Psi = _hermitize_stack(np.asarray(Psi, dtype=M.dtype))
+    scale = np.maximum(np.linalg.norm(M, axis=(-2, -1)), 1e-300)
+    w_plus = np.linalg.eigvalsh(M + Psi)
+    w_minus = np.linalg.eigvalsh(M - Psi)
+    for sign, w in (("+", w_plus), ("-", w_minus)):
+        if np.any(w[:, 0] < -1e-10 * scale):
+            raise InfeasiblePsi(f"M {sign} Psi is not PSD")
+    lhs = _logdet_rows(w_plus) + _logdet_rows(w_minus)
+    rhs = 2.0 * _logdet_rows(np.linalg.eigvalsh(M))
+    return (lhs == -math.inf) | (lhs <= rhs + tol)
 
 
 def logdet_concavity_check(M, Psi, tol: float = 1e-9) -> bool:
     """Verify log2 det(M+Psi) + log2 det(M-Psi) <= 2 log2 det(M) + tol.
 
-    Raises :class:`InfeasiblePsi` when M +/- Psi is not PSD (the premise
-    fails, which says nothing about the inequality).
+    One pair through :func:`concavity_verdicts`.  Raises
+    :class:`InfeasiblePsi` when M +/- Psi is not PSD.
     """
-    M = _hermitize(np.asarray(M, dtype=float) if not np.iscomplexobj(M)
-                   else np.asarray(M))
-    Psi = _hermitize(np.asarray(Psi, dtype=M.dtype))
-    scale = max(float(np.linalg.norm(M)), 1e-300)
-    for sign in (1.0, -1.0):
-        w = np.linalg.eigvalsh(M + sign * Psi)
-        if float(w[0]) < -1e-10 * scale:
-            raise InfeasiblePsi(f"M {'+' if sign > 0 else '-'} Psi is not PSD")
-    lhs = logdet_psd(M + Psi) + logdet_psd(M - Psi)
-    rhs = 2.0 * logdet_psd(M)
-    if math.isinf(lhs) and lhs < 0:
-        return True
-    return lhs <= rhs + tol
+    return bool(concavity_verdicts(np.asarray(M)[None], np.asarray(Psi)[None],
+                                   tol)[0])
+
+
+def _transpose(stack: np.ndarray) -> np.ndarray:
+    return np.swapaxes(stack, -1, -2)
+
+
+def _hermitize_stack(stack: np.ndarray) -> np.ndarray:
+    """``channel._hermitize`` over the last two axes, for stacks of matrices."""
+    return (stack + _transpose(stack).conj()) / 2.0
+
+
+def _logdet_rows(w: np.ndarray) -> np.ndarray:
+    """log2 det per row of ascending eigenvalues, by ``spectral.logdet_psd``'s rule.
+
+    A row is singular (-inf) unless every eigenvalue exceeds ``RANK_TOL``
+    times the row's largest.
+    """
+    nonsingular = np.all(w > RANK_TOL * w[:, -1:], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logdets = np.sum(np.log2(w), axis=-1)
+    return np.where(nonsingular, logdets, -math.inf)
 
 
 def cross_check_rank1(model: ChannelModel) -> dict:

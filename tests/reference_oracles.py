@@ -1,0 +1,111 @@
+"""Slow reference implementations that the library's oracles are tested against.
+
+``dense_brute_force_inner_inf`` builds the two m_s = 2 brute-force grids
+in one piece, and ``scalar_concavity_pairs`` / ``scalar_concavity_check``
+run the log-det concavity trials one matrix at a time.  The library
+evaluates the same grids in blocks of gain rows and the same trials on
+stacked arrays; the tests require both to agree with these.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from dpbound.channel import _hermitize
+from dpbound.errors import InfeasiblePsi
+from dpbound.oracle import _grid_objective_scalar
+from dpbound.spectral import logdet_psd, signal_subspace, whiten_state
+
+
+def dense_brute_force_inner_inf(model, Q_x, grid_resolution: int) -> float:
+    """Grid minimum of the objective for m_s = 2, each grid built as one array."""
+    sub = signal_subspace(model.H, Q_x)
+    M0 = sub.M0
+    m_s = model.m_s
+    assert m_s == 2 and M0 in (1, 2) and 0.0 < model.a_max < math.inf
+    kappa = model.field.kappa
+    lam = np.asarray(sub.spectrum)
+    v = np.asarray(whiten_state(model.Q_s).eigvals)
+    R = int(grid_resolution)
+
+    if M0 == 1:
+        n_ang = max(int(math.sqrt(R)) * 2, 32)
+        theta = np.linspace(0.0, math.pi, n_ang, endpoint=False)
+        n_gain = max(int(math.sqrt(R)), 16)
+        g = np.linspace(0.0, model.a_max, n_gain)
+        c2 = np.cos(theta) ** 2
+        s2 = np.sin(theta) ** 2
+        w = v[0] * c2 + v[1] * s2
+        q = v[0] ** 2 * c2 + v[1] ** 2 * s2
+        u = np.where(q > 0, v[0] * v[1] * w / np.where(q > 0, q, 1.0), 0.0)
+        g1 = g[:, None, None] ** 2
+        g2 = g[None, :, None] ** 2
+        t1 = g1 * w[None, None, :]
+        t2 = g2 * u[None, None, :]
+        vals = _grid_objective_scalar(lam, [t1, t2], m_s, M0, kappa)
+        return float(np.min(vals))
+
+    n_gain = max(int(round(R ** 0.25)), 12)
+    n_ang = 2 * n_gain
+    phi = np.linspace(0.0, math.pi, n_ang, endpoint=False)
+    theta = np.linspace(0.0, math.pi, n_ang, endpoint=False)
+    gax = np.linspace(0.0, model.a_max, n_gain)
+    g1 = gax[:, None, None, None]
+    g2 = gax[None, :, None, None]
+    ct, st = np.cos(theta), np.sin(theta)
+    ct = ct[None, None, :, None]
+    st = st[None, None, :, None]
+    cp, sp = np.cos(phi), np.sin(phi)
+    cp = cp[None, None, None, :]
+    sp = sp[None, None, None, :]
+    M11 = v[0] * ct ** 2 + v[1] * st ** 2
+    M22 = v[0] * st ** 2 + v[1] * ct ** 2
+    M12 = (v[0] - v[1]) * ct * st
+    K11 = g1 ** 2 * M11
+    K22 = g2 ** 2 * M22
+    K12 = g1 * g2 * M12
+    T11 = cp ** 2 * K11 + sp ** 2 * K22 - 2.0 * cp * sp * K12
+    T22 = sp ** 2 * K11 + cp ** 2 * K22 + 2.0 * cp * sp * K12
+    T12 = cp * sp * (K11 - K22) + (cp ** 2 - sp ** 2) * K12
+    det_t = (g1 * g2) ** 2 * v[0] * v[1]
+    det_n = (1.0 + lam[0] + T11) * (1.0 + lam[1] + T22) - T12 ** 2
+    with np.errstate(divide="ignore"):
+        total = (math.log2((1.0 + lam[0]) * (1.0 + lam[1]))
+                 + np.log2(det_n) - np.log2(np.broadcast_to(
+                     det_t, det_n.shape)))
+    return float(np.min(kappa * total / 2.0))
+
+
+def scalar_concavity_pairs(seed: int, count: int, max_dim: int = 4):
+    """The seeded (M, Psi) stream, one trial and one LAPACK call at a time."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, max_dim + 1))
+        B = rng.standard_normal((n, n))
+        M = B @ B.T + 0.1 * np.eye(n)
+        C = rng.standard_normal((n, n))
+        Psi = (C + C.T) / 2.0
+        L = np.linalg.cholesky(M)
+        W = np.linalg.solve(L, np.linalg.solve(L, Psi).T).T
+        w = np.linalg.eigvalsh(_hermitize(W))
+        t_max = 1.0 / max(float(np.max(np.abs(w))), 1e-12)
+        yield M, Psi * (0.95 * t_max * float(rng.uniform()))
+
+
+def scalar_concavity_check(M, Psi, tol: float = 1e-9) -> bool:
+    """log2 det(M+Psi) + log2 det(M-Psi) <= 2 log2 det(M) + tol, one pair."""
+    M = _hermitize(np.asarray(M, dtype=float) if not np.iscomplexobj(M)
+                   else np.asarray(M))
+    Psi = _hermitize(np.asarray(Psi, dtype=M.dtype))
+    scale = max(float(np.linalg.norm(M)), 1e-300)
+    for sign in (1.0, -1.0):
+        w = np.linalg.eigvalsh(M + sign * Psi)
+        if float(w[0]) < -1e-10 * scale:
+            raise InfeasiblePsi(f"M {'+' if sign > 0 else '-'} Psi is not PSD")
+    lhs = logdet_psd(M + Psi) + logdet_psd(M - Psi)
+    rhs = 2.0 * logdet_psd(M)
+    if math.isinf(lhs) and lhs < 0:
+        return True
+    return lhs <= rhs + tol

@@ -17,6 +17,7 @@ from dpbound.errors import (
     DimensionMismatch,
     FieldMismatch,
     NegativeParameter,
+    NonFinite,
     NonpositiveVariance,
     NotPSD,
     PowerBudgetExceeded,
@@ -55,6 +56,21 @@ def test_parameter_signs():
     # an unbounded cap is a legal, explicit value
     m = validate_model(1, 1, 1, [[1.0]], [[1.0]], math.inf, 1.0)
     assert math.isinf(m.a_max)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rejected(bad):
+    with pytest.raises(NonFinite):
+        validate_model(2, 2, 1, [[1.0, bad], [0.0, 1.0]], [[1.0]], 1.0, 1.0)
+    with pytest.raises(NonFinite):
+        validate_model(1, 1, 1, [[complex(1.0, bad)]], [[1.0]], 1.0, 1.0,
+                       "complex")
+    with pytest.raises(NonFinite):
+        validate_model(1, 1, 2, [[1.0]], [[1.0, 0.0], [0.0, bad]], 1.0, 1.0)
+    with pytest.raises(NonFinite):
+        validate_model(1, 1, 1, [[1.0]], [[1.0]], 1.0, math.inf)
+    with pytest.raises(NegativeParameter):
+        validate_model(1, 1, 1, [[1.0]], [[1.0]], 1.0, math.nan)
 
 
 def test_qs_symmetrized_before_checks():

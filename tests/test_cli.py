@@ -138,3 +138,44 @@ def test_sweep_gs_data_copy(capsys, tmp_path):
                         "--out", str(out), "--gs-data", str(gs))
     assert code == 0
     assert (out / "gs.data").read_text() == gs.read_text()
+
+
+@pytest.mark.parametrize("ladder", ["0..9", "3..3", "0..999"])
+def test_verify_splits_trials_over_ladder(capsys, ladder):
+    code, doc = run_cli(capsys, "--quiet", "verify", "--seed-ladder", ladder)
+    assert code == 0
+    assert doc["passed"] is True
+    assert doc["equivalence"]["cases"] == 20
+    assert doc["concavity"]["trials"] == 1000
+    lo, hi = (int(x) for x in ladder.split(".."))
+    assert doc["seed_ladder"] == list(range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("ladder", ["abc", "1..", "..4", "x..3", "5..1",
+                                    "-2..3", "0..1000", "0..10000000000000"])
+def test_verify_rejects_bad_ladder(capsys, ladder):
+    code = cli_dispatch(["--quiet", "verify", f"--seed-ladder={ladder}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--seed-ladder" in captured.err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("H", [[float("nan"), 0.0], [0.0, 1.0]]),
+    ("H", [[float("inf"), 0.0], [0.0, 1.0]]),
+    ("Q_s", [[float("inf")]]),
+    ("P", float("inf")),
+])
+def test_non_finite_model_rejected(capsys, tmp_path, field, value):
+    doc = {"m_t": 2, "m_r": 2, "m_s": 1, "H": [[1.0, 0.0], [0.0, 1.0]],
+           "Q_s": [[1.0]], "a_max": 1.0, "P": 1.0, "field": "real"}
+    doc[field] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code = cli_dispatch(["--quiet", "bound", "general", "--model", str(path),
+                         "--restarts", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "finite" in err
+    assert "converge" not in err and "LinAlgError" not in err

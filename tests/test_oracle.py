@@ -12,9 +12,20 @@ from dpbound import (
     validate_model,
 )
 from dpbound.errors import InfeasiblePsi, NotRankOne, TooLarge
-from dpbound.oracle import SEED_LADDER, feasible_concavity_pairs
+from dpbound.oracle import (
+    SEED_LADDER,
+    concavity_trials,
+    concavity_verdicts,
+    feasible_concavity_pairs,
+    fixed_equivalence_suite,
+)
 
 from conftest import rand_psd
+from reference_oracles import (
+    dense_brute_force_inner_inf,
+    scalar_concavity_check,
+    scalar_concavity_pairs,
+)
 
 P15 = 10.0 ** 1.5
 
@@ -67,6 +78,69 @@ def test_concavity_randomized_trials():
 def test_concavity_infeasible_rejected():
     with pytest.raises(InfeasiblePsi):
         logdet_concavity_check([[1.0]], [[2.0]])
+    M = np.stack([np.eye(2), np.eye(2)])
+    Psi = np.stack([np.zeros((2, 2)), np.diag([0.5, -2.0])])
+    with pytest.raises(InfeasiblePsi):
+        concavity_verdicts(M, Psi)
+
+
+@pytest.mark.parametrize("seed", SEED_LADDER)
+def test_pairs_match_scalar_stream(seed):
+    batched = list(feasible_concavity_pairs(seed, 100))
+    reference = list(scalar_concavity_pairs(seed, 100))
+    assert len(batched) == len(reference)
+    for (M, Psi), (M_ref, Psi_ref) in zip(batched, reference):
+        np.testing.assert_allclose(M, M_ref, rtol=1e-12)
+        np.testing.assert_allclose(Psi, Psi_ref, rtol=1e-12)
+
+
+def test_ladder_trials_match_scalar_stream_and_verdicts():
+    reference = [pair for seed in SEED_LADDER
+                 for pair in scalar_concavity_pairs(seed, 100)]
+    seen = []
+    for order, M, Psi in concavity_trials(SEED_LADDER, 100):
+        for i, M_i, Psi_i, ok in zip(order, M, Psi, concavity_verdicts(M, Psi)):
+            M_ref, Psi_ref = reference[i]
+            np.testing.assert_allclose(M_i, M_ref, rtol=1e-12)
+            np.testing.assert_allclose(Psi_i, Psi_ref, rtol=1e-12)
+            assert ok == scalar_concavity_check(M_ref, Psi_ref)
+            seen.append(int(i))
+    assert sorted(seen) == list(range(len(reference)))
+
+
+def test_verdicts_match_scalar_check_on_edge_cases():
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    M_c = G @ G.conj().T + np.eye(3)
+    E = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    Psi_c = 0.1 * (E + E.conj().T)
+    pairs = [
+        (np.eye(3), np.diag([1.0, 0.0, 0.0])),        # M - Psi singular
+        (np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3))),  # M itself singular
+        (rand_psd(rng, 3) + np.eye(3), np.zeros((3, 3))),
+        (M_c, Psi_c),                                  # complex Hermitian
+    ]
+    M = np.stack([m for m, _ in pairs]).astype(complex)
+    Psi = np.stack([p for _, p in pairs]).astype(complex)
+    for tol in (1e-9, -0.5):
+        got = concavity_verdicts(M, Psi, tol)
+        want = [scalar_concavity_check(m, p, tol) for m, p in zip(M, Psi)]
+        assert list(got) == want
+        assert [logdet_concavity_check(m, p, tol) for m, p in zip(M, Psi)] == want
+    assert not all(want)  # a negative tolerance makes the equality cases fail
+
+
+# the M0 = 1 and M0 = 2 grids with m_s = 2, which run in blocks
+GRID_CASES = {f"case{i}": c for i, c in enumerate(fixed_equivalence_suite())
+              if c["model"].m_s == 2}
+
+
+@pytest.mark.parametrize("case", GRID_CASES.values(), ids=GRID_CASES.keys())
+def test_blockwise_grid_matches_dense(case):
+    blocked = brute_force_inner_inf(case["model"], case["Q_x"], case["resolution"])
+    dense = dense_brute_force_inner_inf(case["model"], case["Q_x"],
+                                        case["resolution"])
+    assert abs(blocked - dense) <= 1e-12
 
 
 def test_cross_check_scalar_operating_point():
