@@ -67,6 +67,14 @@ def check_partition(part: GroupPartition, m_s: int, M0: int) -> None:
         raise PartitionMismatch("groups must cover coordinates 0..m_s-1 exactly")
 
 
+def partition_count(m_s: int, M0: int) -> int:
+    """Number of ordered fillings of the required group shape (a multinomial)."""
+    count = math.factorial(m_s)
+    for s in required_group_sizes(m_s, M0):
+        count //= math.factorial(s)
+    return count
+
+
 def enumerate_partitions(m_s: int, M0: int,
                          budget: int = DEFAULT_PARTITION_BUDGET) -> list[GroupPartition]:
     """All ordered fillings of the required group shape, up to ``budget``.
@@ -80,11 +88,7 @@ def enumerate_partitions(m_s: int, M0: int,
     if m_s < 1 or M0 < 1:
         raise PartitionMismatch("m_s and M0 must be at least 1")
     sizes = required_group_sizes(m_s, M0)
-
-    count = math.factorial(m_s)
-    for s in sizes:
-        count //= math.factorial(s)
-    if count > budget:
+    if partition_count(m_s, M0) > budget:
         forward = _contiguous(range(m_s), sizes)
         backward = _contiguous(reversed(range(m_s)), sizes)
         parts = [forward]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from math import log2
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -25,6 +26,7 @@ from .adversary import (
     GroupPartition,
     build_family,
     enumerate_partitions,
+    partition_count,
 )
 from .baselines import interference_free_capacity, water_filling
 from .channel import AdversaryFamily, ChannelModel, InputCovariance, _hermitize
@@ -140,40 +142,56 @@ def objective(model: ChannelModel, Q_x, fam: AdversaryFamily) -> float:
     return kappa * total / (N + 1)
 
 
-def _fast_value(lam: np.ndarray, v: np.ndarray, a_max: float, m_s: int,
-                part: GroupPartition, kappa: float) -> float:
+def _fast_value(lam, v, a_max: float, m_s: int, part: GroupPartition,
+                kappa: float) -> float:
     """Closed-form objective for an aligned family, diagonal arithmetic only.
 
     ``lam`` is the descending signal spectrum, ``v`` the descending state
-    spectrum; group coordinate k contributes interference a_max^2 v_k on
-    signal row r (rows assigned in order within each group).
+    spectrum, both as sequences of Python floats; group coordinate k
+    contributes interference a_max^2 v_k on signal row r (rows assigned in
+    order within each group).  Terms are accumulated left to right in
+    scalar floats: the inputs hold a handful of entries, where per-call
+    array dispatch would cost more than the arithmetic.  A zero
+    interference power in a full group (a cap whose square underflows)
+    makes its log-det ratio, and so the value, +inf.
     """
     M0 = len(lam)
-    N = part.n_groups
+    groups = part.groups
+    N = len(groups)
     divisible = (m_s % M0 == 0)
-    total = float(np.sum(np.log2(1.0 + lam)))
+    total = 0.0
+    for x in lam:
+        total += log2(1.0 + x)
     if math.isinf(a_max):
         if not divisible:
-            r = len(part.groups[-1])
-            total += float(np.sum(np.log2(1.0 + lam[r:]))) + (M0 - r) + 2.0 * M0
+            r = len(groups[-1])
+            tail = 0.0
+            for x in lam[r:]:
+                tail += log2(1.0 + x)
+            total += tail + (M0 - r) + 2.0 * M0
         return kappa * total / (N + 1)
-    if a_max == 0.0:
-        return math.inf if (N > 1 or divisible) else kappa * (
-            total + float(np.sum(np.log2(1.0 + lam))) + M0 + 2.0 * M0) / 2.0
     a2 = a_max * a_max
-    for gi, group in enumerate(part.groups):
-        t = a2 * v[list(group)]
-        last = gi == N - 1
-        if last and not divisible:
-            r = len(group)
-            term = (float(np.sum(np.log2(lam[:r] + 1.0 + t)))
-                    + float(np.sum(np.log2(lam[r:] + 1.0)))
-                    - float(np.sum(np.log2(t + 0.5)))
-                    + (M0 - r) + 2.0 * M0)
-        else:
-            term = float(np.sum(np.log2(lam[:len(group)] + 1.0 + t)
-                                - np.log2(t)))
-        total += term
+    n_full = N if divisible else N - 1
+    try:
+        for gi in range(n_full):
+            term = 0.0
+            for x, k in zip(lam, groups[gi]):
+                t = a2 * v[k]
+                term += log2(x + 1.0 + t) - log2(t)
+            total += term
+    except ValueError:
+        return math.inf
+    if not divisible:
+        group = groups[-1]
+        r = len(group)
+        numer = denom = rest = 0.0
+        for x, k in zip(lam, group):
+            t = a2 * v[k]
+            numer += log2(x + 1.0 + t)
+            denom += log2(t + 0.5)
+        for x in lam[r:]:
+            rest += log2(x + 1.0)
+        total += numer + rest - denom + (M0 - r) + 2.0 * M0
     return kappa * total / (N + 1)
 
 
@@ -221,7 +239,7 @@ class _AscentProblem:
     def __init__(self, model: ChannelModel, search: SearchConfig):
         self.model = model
         self.H = np.asarray(model.H)
-        self.v = np.asarray(whiten_state(model.Q_s).eigvals)
+        self.v = np.asarray(whiten_state(model.Q_s).eigvals).tolist()
         self.kappa = model.field.kappa
         self.budget = search.partition_budget
         self._parts: dict[int, list] = {}
@@ -232,12 +250,12 @@ class _AscentProblem:
         return self._parts[M0]
 
     def value(self, F: np.ndarray) -> float:
-        lam = _spectrum_of(self.H, F)
-        if lam.size == 0:
+        lam = _spectrum_of(self.H, F).tolist()
+        if not lam:
             return 0.0
         return min(_fast_value(lam, self.v, self.model.a_max, self.model.m_s,
                                part, self.kappa)
-                   for part in self.parts_for(int(lam.size)))
+                   for part in self.parts_for(len(lam)))
 
 
 def _coordinate_ascent(problem: _AscentProblem, F0: np.ndarray, P: float,
@@ -286,7 +304,12 @@ def outer_sup(model: ChannelModel, M0_target: int,
     Covariances are parameterized as F F^dagger with the trace saturated at
     P (the objective never decreases when the signal block grows, so full
     power is optimal).  Single-antenna channels are delegated to the exact
-    closed form; everything else is labeled as a heuristic supremum.
+    closed form; everything else is labeled as a heuristic supremum.  The
+    report's ``M0`` is the signal rank the search reached, which can fall
+    below ``diagnostics["target_rank"]``; ``diagnostics["inner_method"]``
+    says whether the inner minimum at that rank enumerated every partition
+    (``"exhaustive"``) or only the two contiguous ones past the budget
+    (``"budget_fallback"``, still sound but possibly looser).
     """
     search = search or SearchConfig()
     m_star = min(model.m_t, model.m_r)
@@ -301,12 +324,14 @@ def outer_sup(model: ChannelModel, M0_target: int,
         return BoundReport(value_bits=if_cap, raw_value_bits=math.inf,
                            M0=M0_target, kappa=model.field.kappa,
                            soundness=Soundness.CERTIFIED_RELAXATION,
-                           diagnostics={"mode": "interference_free_fallback"})
+                           diagnostics={"mode": "interference_free_fallback",
+                                        "target_rank": M0_target})
     if model.P == 0.0 or not np.any(np.asarray(model.H)):
         return BoundReport(value_bits=0.0, raw_value_bits=0.0, M0=0,
                            kappa=model.field.kappa,
                            soundness=Soundness.CERTIFIED_RELAXATION,
-                           diagnostics={"mode": "dead_channel"})
+                           diagnostics={"mode": "dead_channel",
+                                        "target_rank": M0_target})
 
     problem = _AscentProblem(model, search)
     H = np.asarray(model.H)
@@ -342,12 +367,16 @@ def outer_sup(model: ChannelModel, M0_target: int,
     Q_best = _hermitize(best_F @ best_F.conj().T)
     lam = _spectrum_of(H, best_F)
     if lam.size == 0:
-        raw, group_map = 0.0, ()
+        raw, group_map, inner_method = 0.0, (), None
     else:
         fam, raw = inner_inf(model, Q_best, partition_budget=search.partition_budget)
         group_map = fam.group_map
+        exhaustive = partition_count(model.m_s, int(lam.size)) <= search.partition_budget
+        inner_method = "exhaustive" if exhaustive else "budget_fallback"
     diagnostics = {
         "mode": "multistart_ascent",
+        "target_rank": M0_target,
+        "inner_method": inner_method,
         "restarts": len(seeds),
         "iterations": total_iters,
         "budget_exhausted": exhausted,

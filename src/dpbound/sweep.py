@@ -67,6 +67,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     The ``bound`` trace reports the raw bound (the plotted curve, which
     may exceed the interference-free line at low INR); the effective
     min with the interference-free capacity rides along as ``bound_eff``.
+    ``half_if`` and ``prelog`` are two names for the same prelog reference,
+    computed once per point.
     """
     P = 10.0 ** (spec.snr_db / 10.0)
     kappa = spec.field.kappa
@@ -86,10 +88,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             row["tin"] = tin_worst_case(model)
         if "int_free" in want:
             row["int_free"] = int_free
-        if "half_if" in want:
-            row["half_if"] = prelog_reference(inputs)
-        if "prelog" in want:
-            row["prelog"] = prelog_reference(inputs)
+        if "half_if" in want or "prelog" in want:
+            prelog = prelog_reference(inputs)
+            if "half_if" in want:
+                row["half_if"] = prelog
+            if "prelog" in want:
+                row["prelog"] = prelog
         rows.append(row)
     metadata = {
         "tool": "dpbound",

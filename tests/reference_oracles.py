@@ -5,6 +5,8 @@ in one piece, and ``scalar_concavity_pairs`` / ``scalar_concavity_check``
 run the log-det concavity trials one matrix at a time.  The library
 evaluates the same grids in blocks of gain rows and the same trials on
 stacked arrays; the tests require both to agree with these.
+``numpy_fast_value`` is the aligned-family objective written as numpy
+reductions, which the library's scalar kernel must reproduce.
 """
 
 from __future__ import annotations
@@ -109,3 +111,36 @@ def scalar_concavity_check(M, Psi, tol: float = 1e-9) -> bool:
     if math.isinf(lhs) and lhs < 0:
         return True
     return lhs <= rhs + tol
+
+
+def numpy_fast_value(lam, v, a_max: float, m_s: int, part, kappa: float) -> float:
+    """Closed-form aligned-family objective with numpy reductions per group."""
+    lam = np.asarray(lam, dtype=float)
+    v = np.asarray(v, dtype=float)
+    M0 = len(lam)
+    N = part.n_groups
+    divisible = (m_s % M0 == 0)
+    total = float(np.sum(np.log2(1.0 + lam)))
+    if math.isinf(a_max):
+        if not divisible:
+            r = len(part.groups[-1])
+            total += float(np.sum(np.log2(1.0 + lam[r:]))) + (M0 - r) + 2.0 * M0
+        return kappa * total / (N + 1)
+    if a_max == 0.0:
+        return math.inf if (N > 1 or divisible) else kappa * (
+            total + float(np.sum(np.log2(1.0 + lam))) + M0 + 2.0 * M0) / 2.0
+    a2 = a_max * a_max
+    for gi, group in enumerate(part.groups):
+        t = a2 * v[list(group)]
+        last = gi == N - 1
+        if last and not divisible:
+            r = len(group)
+            term = (float(np.sum(np.log2(lam[:r] + 1.0 + t)))
+                    + float(np.sum(np.log2(lam[r:] + 1.0)))
+                    - float(np.sum(np.log2(t + 0.5)))
+                    + (M0 - r) + 2.0 * M0)
+        else:
+            term = float(np.sum(np.log2(lam[:len(group)] + 1.0 + t)
+                                - np.log2(t)))
+        total += term
+    return kappa * total / (N + 1)

@@ -22,9 +22,10 @@ from dpbound import (
     whiten_state,
 )
 from dpbound.errors import PartitionMismatch, RankZeroSignal
-from dpbound.general import _AscentProblem
+from dpbound.general import _AscentProblem, _fast_value
 
 from conftest import rand_model, rand_psd
+from reference_oracles import numpy_fast_value
 
 P15 = 10.0 ** 1.5
 FAST_SEARCH = SearchConfig(restarts=3, max_iters=60)
@@ -269,3 +270,62 @@ def test_per_rank_diagnostics_present():
     assert rep.diagnostics["restarts"] >= 3
     doc = rep.to_json()
     assert doc["soundness"] == "HeuristicSup"
+
+
+def _descending(rng, n, lo, hi):
+    return np.sort(np.exp(rng.uniform(np.log(lo), np.log(hi), size=n)))[::-1]
+
+
+def test_scalar_kernel_matches_numpy_reference():
+    rng = np.random.default_rng(20130516)
+    # m_s = 9, M0 = 1 is past the partition budget: the two-partition fallback
+    cases = [(m_s, M0) for m_s in range(1, 8) for M0 in range(1, 5)] + [(9, 1)]
+    for m_s, M0 in cases:
+        for trial in range(2):
+            lam = _descending(rng, M0, 1e-3, 1e3)
+            v = _descending(rng, m_s, 0.05, 20.0)
+            caps = [math.inf, 1e-3, 1e3,
+                    float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))]
+            kappa = 0.5 if trial == 0 else 1.0
+            # every partition is checked; the caps rotate through them
+            for i, part in enumerate(enumerate_partitions(m_s, M0)):
+                a_max = caps[(i + trial) % len(caps)]
+                fast = _fast_value(lam.tolist(), v.tolist(), a_max, m_s,
+                                   part, kappa)
+                ref = numpy_fast_value(lam, v, a_max, m_s, part, kappa)
+                assert fast == pytest.approx(ref, rel=0, abs=1e-12)
+
+
+def test_inner_method_reports_budget_fallback():
+    rng = np.random.default_rng(3)
+    m = validate_model(2, 2, 9, rng.standard_normal((2, 2)),
+                       rand_psd(rng, 9), 2.0, 4.0)
+    rep = capacity_upper_bound(
+        m, SearchConfig(restarts=1, max_iters=2, ranks=(1,)))
+    assert rep.M0 == 1
+    assert rep.diagnostics["inner_method"] == "budget_fallback"
+    assert rep.diagnostics["target_rank"] == 1
+
+
+def test_inner_method_reports_exhaustive():
+    m = validate_model(2, 2, 2, np.eye(2), np.eye(2), 2.0, 4.0)
+    rep = capacity_upper_bound(m, FAST_SEARCH)
+    assert rep.diagnostics["inner_method"] == "exhaustive"
+    assert rep.diagnostics["target_rank"] == rep.M0
+
+
+def test_target_rank_reported_beside_collapsed_rank():
+    m = validate_model(3, 3, 2, np.diag([1.0, 1.0, 0.0]), np.eye(2), 2.0, 4.0)
+    rep = capacity_upper_bound(m, SearchConfig(restarts=1, max_iters=5,
+                                               ranks=(3,)))
+    assert rep.diagnostics["target_rank"] == 3
+    assert rep.M0 == 2
+    assert rep.diagnostics["inner_method"] == "exhaustive"
+
+
+def test_underflowing_cap_gives_infinite_raw_value():
+    # a_max^2 underflows to zero: every full-group log-det ratio is +inf
+    m = validate_model(2, 2, 3, np.eye(2), np.eye(3), 1e-200, 4.0)
+    rep = capacity_upper_bound(m, SearchConfig(restarts=1, max_iters=3))
+    assert rep.raw_value_bits == math.inf
+    assert rep.value_bits == pytest.approx(interference_free_capacity(m))
