@@ -4,10 +4,23 @@ The family construction places whitened eigendirections of the state
 covariance into the message-bearing subspace at the full amplification
 cap, split into ceil(m_s / M0) groups that are mutually orthogonal under
 Q_s.  Within a group the k-th largest state eigenvalue lands on the k-th
-largest signal eigenvalue; that pairing (and, for partial groups, aiming
-at the strongest signal directions first) minimizes every log-det term of
-the bound among row assignments, so the canonical family is the tightest
-member of the aligned class.
+largest signal eigenvalue, so the aligned objective is a sum of slot
+costs, one per state coordinate k placed on signal row r, with
+t = a_max^2 v_k:
+
+* a slot of a full group (M0 members) costs log2(lam_r + 1 + t) - log2 t;
+* a slot of the remainder group (rho = m_s mod M0 members, present only
+  when M0 does not divide m_s) costs log2(lam_r + 1 + t) - log2(t + 1/2);
+
+plus terms that depend only on the spectrum and the group shape.  Both
+slot costs have a negative mixed partial in (lam, t), so for two slots of
+the same kind, putting the larger t on the larger lam is never worse than
+the crossed pairing.  By this exchange, some minimising partition gives
+the full-group slots their coordinates in descending order, row by row,
+and the remainder slots theirs in descending order too.  Only the choice
+of the remainder coordinates is free, which leaves C(m_s, rho)
+candidates (``enumerate_partitions``), and the aligned inner minimum
+over them is exact.
 """
 
 from __future__ import annotations
@@ -21,10 +34,6 @@ import numpy as np
 from .channel import AdversaryFamily, ChannelModel, _freeze
 from .errors import InfeasibleDimensions, PartitionMismatch
 from .spectral import SignalSubspace, WhitenedState
-
-# Exhaustive partition enumeration up to this many assignments (8! covers
-# every m_s <= 8 at M0 = 1, the worst case).
-DEFAULT_PARTITION_BUDGET = 40320
 
 
 @dataclass(frozen=True)
@@ -67,57 +76,27 @@ def check_partition(part: GroupPartition, m_s: int, M0: int) -> None:
         raise PartitionMismatch("groups must cover coordinates 0..m_s-1 exactly")
 
 
-def partition_count(m_s: int, M0: int) -> int:
-    """Number of ordered fillings of the required group shape (a multinomial)."""
-    count = math.factorial(m_s)
-    for s in required_group_sizes(m_s, M0):
-        count //= math.factorial(s)
-    return count
+def enumerate_partitions(m_s: int, M0: int) -> list[GroupPartition]:
+    """The partitions of the required group shape that can attain the minimum.
 
-
-def enumerate_partitions(m_s: int, M0: int,
-                         budget: int = DEFAULT_PARTITION_BUDGET) -> list[GroupPartition]:
-    """All ordered fillings of the required group shape, up to ``budget``.
-
-    Groups are order-sensitive (the last group is treated specially by the
-    bound) but unordered internally.  When the exhaustive count exceeds the
-    budget, returns a deterministic two-element subset: contiguous blocks
-    of the descending-sorted spectrum, and the same blocks taken over the
-    reversed order.
+    One candidate per choice of the rho = m_s mod M0 remainder coordinates,
+    C(m_s, rho) in all and exactly one when M0 divides m_s.  The other
+    coordinates, in descending order, go round-robin to the
+    n_full = m_s // M0 full groups: full group g holds the g-th, the
+    (n_full + g)-th, the (2 n_full + g)-th, ... of them, so row r of every
+    full group takes the r-th block of n_full coordinates.  Groups are
+    order-sensitive (the last one is the remainder group) and stored as
+    ascending tuples, which ``build_family`` assigns to rows in order.
     """
     if m_s < 1 or M0 < 1:
         raise PartitionMismatch("m_s and M0 must be at least 1")
-    sizes = required_group_sizes(m_s, M0)
-    if partition_count(m_s, M0) > budget:
-        forward = _contiguous(range(m_s), sizes)
-        backward = _contiguous(reversed(range(m_s)), sizes)
-        parts = [forward]
-        if backward.groups != forward.groups:
-            parts.append(backward)
-        return parts
-
+    n_full, rho = divmod(m_s, M0)
     out = []
-
-    def fill(remaining: tuple, acc: list) -> None:
-        idx = len(acc)
-        if idx == len(sizes):
-            out.append(GroupPartition(groups=tuple(acc)))
-            return
-        for combo in itertools.combinations(remaining, sizes[idx]):
-            rest = tuple(k for k in remaining if k not in combo)
-            fill(rest, acc + [tuple(sorted(combo))])
-
-    fill(tuple(range(m_s)), [])
+    for rem in itertools.combinations(range(m_s), rho):
+        rest = [k for k in range(m_s) if k not in rem]
+        groups = tuple(tuple(rest[g::n_full]) for g in range(n_full))
+        out.append(GroupPartition(groups=groups + ((rem,) if rho else ())))
     return out
-
-
-def _contiguous(order, sizes: list[int]) -> GroupPartition:
-    order = list(order)
-    groups, pos = [], 0
-    for s in sizes:
-        groups.append(tuple(sorted(order[pos:pos + s])))
-        pos += s
-    return GroupPartition(groups=tuple(groups))
 
 
 def build_family(model: ChannelModel, sub: SignalSubspace, white: WhitenedState,

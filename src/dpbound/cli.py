@@ -4,7 +4,6 @@ Subcommands: ``bound rank1``, ``bound general``, ``dof``, ``baseline``,
 ``sweep`` and ``verify``.  Every command prints a single JSON object on
 stdout; exit status is 0 on success, 1 on validation/usage errors and 2
 on internal errors.  Progress notes go to stderr unless ``--quiet``.
-The ``DPB_SEED`` environment variable overrides the default search seed.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -35,11 +33,6 @@ def _emit(doc: dict) -> None:
 def _note(args, msg: str) -> None:
     if not getattr(args, "quiet", False):
         print(msg, file=sys.stderr)
-
-
-def _env_seed(default: int = 0) -> int:
-    raw = os.environ.get("DPB_SEED")
-    return int(raw) if raw else default
 
 
 def _cmd_bound_rank1(args) -> int:
@@ -66,19 +59,31 @@ def _cmd_bound_rank1(args) -> int:
     return 0
 
 
-def _parse_ranks(text: str | None):
-    if not text:
-        return None
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(x) for x in text.split(","))
+def _parse_ranks(text: str) -> tuple:
+    """Parse ``bound general --ranks``: a range ``a..b`` or a list ``a,b,...``.
+
+    Rejects empty ranges, empty list items and non-integers; whether each
+    rank fits the model is checked once the model is loaded.
+    """
+    lo, sep, hi = text.partition("..")
+    try:
+        if sep:
+            ranks = tuple(range(int(lo), int(hi) + 1))
+        else:
+            ranks = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a..b or a comma-separated list of integer ranks, "
+            f"got {text!r}") from None
+    if not ranks:
+        raise argparse.ArgumentTypeError(f"rank range {text!r} is empty")
+    return ranks
 
 
 def _cmd_bound_general(args) -> int:
     model = load_model(args.model)
     search = SearchConfig(restarts=args.restarts, seed=args.seed,
-                          ranks=_parse_ranks(args.ranks))
+                          ranks=args.ranks)
     _note(args, f"evaluating bound for {model.m_t}x{model.m_r} channel, "
                 f"m_s={model.m_s}")
     report = capacity_upper_bound(model, search)
@@ -113,12 +118,6 @@ def _cmd_sweep(args) -> int:
                 f"SNR {args.snr_db} dB")
     result = run_sweep(spec)
     files = emit_data_files(result, args.out)
-    if args.gs_data:
-        # external comparison curve, copied verbatim for side-by-side plots
-        dest = os.path.join(args.out, "gs.data")
-        with open(args.gs_data, "rb") as src, open(dest, "wb") as dst:
-            dst.write(src.read())
-        files.append(dest)
     _emit({"points": len(result.rows), "files": sorted(files)})
     return 0
 
@@ -199,10 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = bound_sub.add_parser("general", help="general max-min bound")
     p_gen.add_argument("--model", required=True, help="model JSON file")
-    p_gen.add_argument("--ranks", default=None,
+    p_gen.add_argument("--ranks", type=_parse_ranks, default=None,
                        help="signal ranks to try, e.g. 1..2 or 1,3")
     p_gen.add_argument("--restarts", type=int, default=16)
-    p_gen.add_argument("--seed", type=int, default=_env_seed())
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=_cmd_bound_general)
 
     p_dof = sub.add_parser("dof", help="degrees-of-freedom upper bound")
@@ -230,9 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated subset of "
                               "bound,tin,int_free,half_if,prelog")
     p_sweep.add_argument("--field", choices=["real", "complex"], default="real")
-    p_sweep.add_argument("--gs-data", default=None, metavar="FILE",
-                         help="copy an externally computed comparison curve "
-                              "into the output directory as gs.data")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the oracle suite")

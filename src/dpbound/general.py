@@ -1,15 +1,16 @@
 """Max-min evaluation of the general capacity upper bound.
 
 For a fixed input covariance the bound averages log-det terms over an
-adversary family; the inner minimization runs over aligned families (one
-per coordinate partition), which always yields a sound surrogate for the
-true infimum.  The outer maximization over input covariances runs per
-fixed signal rank via a factor parameterization, sidestepping the rank
-discontinuity of the objective, and is labeled honestly: closed-form
-rank-one paths are exact, multistart ascent is a heuristic lower estimate
-of the supremum (and therefore the reported number may undershoot the
-true bound; it never stops being an upper bound for the rates the search
-visited witnesses for).
+adversary family; the inner minimization is exact over the aligned
+families (the candidate partitions of ``adversary.enumerate_partitions``
+contain a minimiser), and since every aligned family is feasible it is a
+sound surrogate for the true infimum.  The outer maximization over input
+covariances runs per fixed signal rank via a factor parameterization,
+sidestepping the rank discontinuity of the objective, and is labeled
+honestly: closed-form rank-one paths are exact, multistart ascent is a
+heuristic lower estimate of the supremum (and therefore the reported
+number may undershoot the true bound; it never stops being an upper
+bound for the rates the search visited witnesses for).
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .adversary import (
-    DEFAULT_PARTITION_BUDGET,
-    GroupPartition,
-    build_family,
-    enumerate_partitions,
-    partition_count,
-)
+from .adversary import GroupPartition, build_family, enumerate_partitions
 from .baselines import interference_free_capacity, water_filling
 from .channel import AdversaryFamily, ChannelModel, InputCovariance, _hermitize
 from .errors import NegativeParameter, PartitionMismatch, RankZeroSignal
@@ -49,7 +44,6 @@ class SearchConfig:
     seed: int = 0
     max_iters: int = 500
     rel_improvement: float = 1e-8
-    partition_budget: int = DEFAULT_PARTITION_BUDGET
     ranks: tuple | None = None     # subset of signal ranks to try; None = all
 
 
@@ -195,15 +189,32 @@ def _fast_value(lam, v, a_max: float, m_s: int, part: GroupPartition,
     return kappa * total / (N + 1)
 
 
+def _best_partition(parts, lam, v, a_max: float, m_s: int,
+                    kappa: float) -> tuple[GroupPartition, float]:
+    """The partition of least ``_fast_value`` among ``parts``, and that value.
+
+    The first of ``parts`` is returned when every value is +inf.
+    """
+    best_part, best_val = parts[0], math.inf
+    for part in parts:
+        val = _fast_value(lam, v, a_max, m_s, part, kappa)
+        if val < best_val:
+            best_part, best_val = part, val
+    return best_part, best_val
+
+
 def inner_inf(model: ChannelModel, Q_x, *,
-              partition_budget: int = DEFAULT_PARTITION_BUDGET,
               white=None) -> tuple[AdversaryFamily, float]:
     """Minimize the objective over aligned families at the full cap.
 
-    Any feasible family upper-bounds the true infimum, so the returned
-    value is always a sound surrogate (never below the true inf).  With a
-    zero cap the constructed denominators vanish; the sentinel +inf is
-    returned and callers fall back to the interference-free capacity.
+    The scalar kernel picks the best candidate partition, which attains the
+    minimum over aligned families (see ``adversary``); the family for that
+    partition is built and validated once, and the matrix ``objective`` on
+    it is the returned value.  Any feasible family upper-bounds the true
+    infimum, so the value is always a sound surrogate (never below the true
+    inf).  With a zero cap the constructed denominators vanish; the
+    sentinel +inf is returned and callers fall back to the
+    interference-free capacity.
     """
     if isinstance(Q_x, InputCovariance):
         Q_x = Q_x.Q_x
@@ -212,17 +223,14 @@ def inner_inf(model: ChannelModel, Q_x, *,
         raise RankZeroSignal("H Q_x H^dagger is numerically zero")
     if white is None:
         white = whiten_state(model.Q_s)
-    parts = enumerate_partitions(model.m_s, sub.M0, partition_budget)
+    parts = enumerate_partitions(model.m_s, sub.M0)
     if model.a_max == 0.0:
-        fam = build_family(model, sub, white, parts[0])
-        return fam, math.inf
-    best_fam, best_val = None, math.inf
-    for part in parts:
-        fam = build_family(model, sub, white, part)
-        val = objective(model, Q_x, fam)
-        if best_fam is None or val < best_val:
-            best_fam, best_val = fam, val
-    return best_fam, best_val
+        return build_family(model, sub, white, parts[0]), math.inf
+    part, _ = _best_partition(parts, sub.spectrum.tolist(),
+                              white.eigvals.tolist(), model.a_max,
+                              model.m_s, model.field.kappa)
+    fam = build_family(model, sub, white, part)
+    return fam, objective(model, Q_x, fam)
 
 
 def _spectrum_of(H: np.ndarray, F: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
@@ -236,26 +244,24 @@ def _spectrum_of(H: np.ndarray, F: np.ndarray, rel_tol: float = 1e-9) -> np.ndar
 class _AscentProblem:
     """Inner-inf value as a function of the covariance factor F."""
 
-    def __init__(self, model: ChannelModel, search: SearchConfig):
+    def __init__(self, model: ChannelModel):
         self.model = model
         self.H = np.asarray(model.H)
         self.v = np.asarray(whiten_state(model.Q_s).eigvals).tolist()
         self.kappa = model.field.kappa
-        self.budget = search.partition_budget
         self._parts: dict[int, list] = {}
 
     def parts_for(self, M0: int) -> list:
         if M0 not in self._parts:
-            self._parts[M0] = enumerate_partitions(self.model.m_s, M0, self.budget)
+            self._parts[M0] = enumerate_partitions(self.model.m_s, M0)
         return self._parts[M0]
 
     def value(self, F: np.ndarray) -> float:
         lam = _spectrum_of(self.H, F).tolist()
         if not lam:
             return 0.0
-        return min(_fast_value(lam, self.v, self.model.a_max, self.model.m_s,
-                               part, self.kappa)
-                   for part in self.parts_for(len(lam)))
+        return _best_partition(self.parts_for(len(lam)), lam, self.v,
+                               self.model.a_max, self.model.m_s, self.kappa)[1]
 
 
 def _coordinate_ascent(problem: _AscentProblem, F0: np.ndarray, P: float,
@@ -306,10 +312,11 @@ def outer_sup(model: ChannelModel, M0_target: int,
     power is optimal).  Single-antenna channels are delegated to the exact
     closed form; everything else is labeled as a heuristic supremum.  The
     report's ``M0`` is the signal rank the search reached, which can fall
-    below ``diagnostics["target_rank"]``; ``diagnostics["inner_method"]``
-    says whether the inner minimum at that rank enumerated every partition
-    (``"exhaustive"``) or only the two contiguous ones past the budget
-    (``"budget_fallback"``, still sound but possibly looser).
+    below ``diagnostics["target_rank"]``.  ``diagnostics["inner_method"]``
+    is ``"exact"``: at every evaluation, and for the reported value, the
+    inner minimum is taken over all aligned families, through the
+    candidate partitions of ``adversary.enumerate_partitions``.  It is null
+    if the search ends at rank 0.
     """
     search = search or SearchConfig()
     m_star = min(model.m_t, model.m_r)
@@ -333,7 +340,7 @@ def outer_sup(model: ChannelModel, M0_target: int,
                            diagnostics={"mode": "dead_channel",
                                         "target_rank": M0_target})
 
-    problem = _AscentProblem(model, search)
+    problem = _AscentProblem(model)
     H = np.asarray(model.H)
     P = model.P
     dtype = complex if np.iscomplexobj(H) else float
@@ -369,10 +376,8 @@ def outer_sup(model: ChannelModel, M0_target: int,
     if lam.size == 0:
         raw, group_map, inner_method = 0.0, (), None
     else:
-        fam, raw = inner_inf(model, Q_best, partition_budget=search.partition_budget)
-        group_map = fam.group_map
-        exhaustive = partition_count(model.m_s, int(lam.size)) <= search.partition_budget
-        inner_method = "exhaustive" if exhaustive else "budget_fallback"
+        fam, raw = inner_inf(model, Q_best)
+        group_map, inner_method = fam.group_map, "exact"
     diagnostics = {
         "mode": "multistart_ascent",
         "target_rank": M0_target,
@@ -409,10 +414,18 @@ def _rank_one_report(model: ChannelModel, if_cap: float) -> BoundReport:
 def capacity_upper_bound(model: ChannelModel,
                          search: SearchConfig | None = None) -> BoundReport:
     """Best bound over all requested signal ranks, capped by the
-    interference-free capacity."""
+    interference-free capacity.
+
+    ``search.ranks`` of None tries every rank; an empty tuple is rejected.
+    """
     search = search or SearchConfig()
     m_star = min(model.m_t, model.m_r)
-    targets = tuple(search.ranks) if search.ranks else tuple(range(1, m_star + 1))
+    if search.ranks is None:
+        targets = tuple(range(1, m_star + 1))
+    else:
+        targets = tuple(search.ranks)
+    if not targets:
+        raise NegativeParameter("no signal rank to try: ranks is empty")
     for t in targets:
         if not 1 <= t <= m_star:
             raise NegativeParameter(f"rank target {t} outside [1, {m_star}]")

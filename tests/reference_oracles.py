@@ -7,16 +7,24 @@ evaluates the same grids in blocks of gain rows and the same trials on
 stacked arrays; the tests require both to agree with these.
 ``numpy_fast_value`` is the aligned-family objective written as numpy
 reductions, which the library's scalar kernel must reproduce.
+``exhaustive_partitions`` lists every filling of the group shape, the
+space whose minimum the library's candidate partitions must attain, and
+``exhaustive_inner_inf`` is the matrix objective minimised over all of
+them.  ``contiguous_fallback`` is the two-partition subset the library
+once used past its partition budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
+from dpbound.adversary import GroupPartition, build_family, required_group_sizes
 from dpbound.channel import _hermitize
 from dpbound.errors import InfeasiblePsi
+from dpbound.general import objective
 from dpbound.oracle import _grid_objective_scalar
 from dpbound.spectral import logdet_psd, signal_subspace, whiten_state
 
@@ -144,3 +152,54 @@ def numpy_fast_value(lam, v, a_max: float, m_s: int, part, kappa: float) -> floa
                                 - np.log2(t)))
         total += term
     return kappa * total / (N + 1)
+
+
+def exhaustive_partitions(m_s: int, M0: int) -> list:
+    """Every ordered filling of the required group shape (a multinomial count).
+
+    Groups are order-sensitive (the last one is the remainder group) and
+    unordered internally.
+    """
+    sizes = required_group_sizes(m_s, M0)
+    out = []
+
+    def fill(remaining: tuple, acc: list) -> None:
+        idx = len(acc)
+        if idx == len(sizes):
+            out.append(GroupPartition(groups=tuple(acc)))
+            return
+        for combo in itertools.combinations(remaining, sizes[idx]):
+            rest = tuple(k for k in remaining if k not in combo)
+            fill(rest, acc + [tuple(sorted(combo))])
+
+    fill(tuple(range(m_s)), [])
+    return out
+
+
+def contiguous_fallback(m_s: int, M0: int) -> list:
+    """Contiguous blocks of the descending spectrum, forward and backward."""
+    sizes = required_group_sizes(m_s, M0)
+
+    def blocks(order):
+        groups, pos = [], 0
+        for size in sizes:
+            groups.append(tuple(sorted(order[pos:pos + size])))
+            pos += size
+        return GroupPartition(groups=tuple(groups))
+
+    forward = blocks(list(range(m_s)))
+    backward = blocks(list(reversed(range(m_s))))
+    return [forward] if backward.groups == forward.groups else [forward, backward]
+
+
+def exhaustive_inner_inf(model, Q_x, parts=None) -> float:
+    """Matrix objective minimised over the families of ``parts``.
+
+    ``parts`` defaults to every filling of the group shape.
+    """
+    sub = signal_subspace(model.H, Q_x)
+    white = whiten_state(model.Q_s)
+    if parts is None:
+        parts = exhaustive_partitions(model.m_s, sub.M0)
+    return min(objective(model, Q_x, build_family(model, sub, white, part))
+               for part in parts)

@@ -11,10 +11,11 @@ from dpbound import (
     validate_model,
     whiten_state,
 )
-from dpbound.adversary import required_group_sizes
+from dpbound.adversary import check_partition, required_group_sizes
 from dpbound.errors import PartitionMismatch
 
 from conftest import rand_model, rand_psd
+from reference_oracles import exhaustive_partitions
 
 
 def _prep(model, Q_x):
@@ -22,8 +23,10 @@ def _prep(model, Q_x):
 
 
 def test_enumerate_two_singletons():
-    parts = enumerate_partitions(2, 1)
+    parts = exhaustive_partitions(2, 1)
     assert [p.groups for p in parts] == [((0,), (1,)), ((1,), (0,))]
+    # the candidates keep only the descending order
+    assert [p.groups for p in enumerate_partitions(2, 1)] == [((0,), (1,))]
 
 
 def test_enumerate_single_group():
@@ -37,11 +40,29 @@ def test_enumerate_pair_plus_remainder():
     assert {p.groups[-1] for p in parts} == {(0,), (1,), (2,)}
 
 
-def test_enumerate_budget_fallback():
-    parts = enumerate_partitions(9, 1, budget=1000)
-    assert len(parts) == 2
-    assert parts[0].groups == tuple((k,) for k in range(9))
-    assert parts[1].groups == tuple((k,) for k in reversed(range(9)))
+def test_enumerate_full_groups_round_robin():
+    parts = enumerate_partitions(6, 2)
+    assert [p.groups for p in parts] == [((0, 3), (1, 4), (2, 5))]
+    parts = enumerate_partitions(5, 2)
+    assert [p.groups for p in parts] == [
+        ((1, 3), (2, 4), (0,)), ((0, 3), (2, 4), (1,)), ((0, 3), (1, 4), (2,)),
+        ((0, 2), (1, 4), (3,)), ((0, 2), (1, 3), (4,))]
+
+
+def test_candidates_are_valid_fillings():
+    counts = []
+    for m_s in range(1, 17):
+        for M0 in range(1, 5):
+            parts = enumerate_partitions(m_s, M0)
+            assert len(parts) == math.comb(m_s, m_s % M0)
+            for part in parts:
+                check_partition(part, m_s, M0)
+                assert all(list(g) == sorted(g) for g in part.groups)
+            counts.append(len(parts))
+            if m_s <= 6:
+                every = {p.groups for p in exhaustive_partitions(m_s, M0)}
+                assert {p.groups for p in parts} <= every
+    assert max(counts) == 455
 
 
 def test_group_sizes():
@@ -98,7 +119,7 @@ def test_family_feasibility_and_alignment(rng):
         sub, white = _prep(model, Q_x)
         if sub.M0 == 0:
             continue
-        for part in enumerate_partitions(model.m_s, sub.M0, budget=24):
+        for part in exhaustive_partitions(model.m_s, sub.M0):
             fam = build_family(model, sub, white, part)
             fam.validate(model)  # cap + orthogonality certificates
             for A, group in zip(fam.members, fam.group_map):

@@ -122,22 +122,23 @@ def test_bad_trace_exit_code(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_seed_env_override(capsys, monkeypatch, scalar_model_file):
-    monkeypatch.setenv("DPB_SEED", "7")
-    code, _ = run_cli(capsys, "--quiet", "bound", "general",
-                      "--model", scalar_model_file)
-    assert code == 0
+@pytest.mark.parametrize("ranks", ["2..1", "1,,2", "1,a", "x..2", ""])
+def test_bound_general_rejects_bad_ranks(capsys, tmp_path, ranks):
+    m = validate_model(2, 2, 2, np.eye(2), np.eye(2), 10.0, 10.0)
+    path = tmp_path / "mimo.json"
+    path.write_text(json.dumps(model_to_json(m)))
+    code, doc = run_cli(capsys, "--quiet", "bound", "general", "--model",
+                        str(path), "--ranks", ranks)
+    assert code == 1
+    assert doc is None
 
 
-def test_sweep_gs_data_copy(capsys, tmp_path):
-    gs = tmp_path / "gs.data"
-    gs.write_text("-10 4.0\n40 1.3\n")
-    out = tmp_path / "out"
-    code, doc = run_cli(capsys, "--quiet", "sweep", "--snr-db", "15",
-                        "--inr-start", "0", "--inr-stop", "2", "--step", "1",
-                        "--out", str(out), "--gs-data", str(gs))
+def test_seed_environment_is_ignored(capsys, monkeypatch):
+    monkeypatch.setenv("DPB_SEED", "abc")
+    code, doc = run_cli(capsys, "dof", "--mt", "1", "--mr", "1", "--ms", "1",
+                        "--amax-finite", "false", "--inr-scaling", "linear")
     assert code == 0
-    assert (out / "gs.data").read_text() == gs.read_text()
+    assert doc["dof"] == 0.5
 
 
 @pytest.mark.parametrize("ladder", ["0..9", "3..3", "0..999"])

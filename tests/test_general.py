@@ -21,11 +21,16 @@ from dpbound import (
     validate_model,
     whiten_state,
 )
-from dpbound.errors import PartitionMismatch, RankZeroSignal
+from dpbound.errors import NegativeParameter, PartitionMismatch, RankZeroSignal
 from dpbound.general import _AscentProblem, _fast_value
 
 from conftest import rand_model, rand_psd
-from reference_oracles import numpy_fast_value
+from reference_oracles import (
+    contiguous_fallback,
+    exhaustive_inner_inf,
+    exhaustive_partitions,
+    numpy_fast_value,
+)
 
 P15 = 10.0 ** 1.5
 FAST_SEARCH = SearchConfig(restarts=3, max_iters=60)
@@ -102,7 +107,7 @@ def test_inner_inf_order_invariant_for_scalar_signal():
     sub = signal_subspace(m.H, Q)
     white = whiten_state(m.Q_s)
     vals = [objective(m, Q, build_family(m, sub, white, p))
-            for p in enumerate_partitions(2, 1)]
+            for p in exhaustive_partitions(2, 1)]
     assert vals[0] == pytest.approx(vals[1], abs=1e-12)
 
 
@@ -250,7 +255,7 @@ def test_fast_evaluator_matches_matrix_path(rng):
         m = rand_model(rng, complex_ok=False)
         if m.a_max == 0 or m.P == 0:
             continue
-        problem = _AscentProblem(m, SearchConfig())
+        problem = _AscentProblem(m)
         k = int(rng.integers(1, min(m.m_t, m.m_r) + 1))
         F = rng.standard_normal((m.m_t, k))
         F *= math.sqrt(m.P) / np.linalg.norm(F)
@@ -278,9 +283,11 @@ def _descending(rng, n, lo, hi):
 
 def test_scalar_kernel_matches_numpy_reference():
     rng = np.random.default_rng(20130516)
-    # m_s = 9, M0 = 1 is past the partition budget: the two-partition fallback
-    cases = [(m_s, M0) for m_s in range(1, 8) for M0 in range(1, 5)] + [(9, 1)]
-    for m_s, M0 in cases:
+    # every filling for m_s <= 7; at m_s = 9, M0 = 1 the two contiguous ones
+    cases = [(m_s, M0, exhaustive_partitions(m_s, M0))
+             for m_s in range(1, 8) for M0 in range(1, 5)]
+    cases.append((9, 1, contiguous_fallback(9, 1)))
+    for m_s, M0, parts in cases:
         for trial in range(2):
             lam = _descending(rng, M0, 1e-3, 1e3)
             v = _descending(rng, m_s, 0.05, 20.0)
@@ -288,7 +295,7 @@ def test_scalar_kernel_matches_numpy_reference():
                     float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3))))]
             kappa = 0.5 if trial == 0 else 1.0
             # every partition is checked; the caps rotate through them
-            for i, part in enumerate(enumerate_partitions(m_s, M0)):
+            for i, part in enumerate(parts):
                 a_max = caps[(i + trial) % len(caps)]
                 fast = _fast_value(lam.tolist(), v.tolist(), a_max, m_s,
                                    part, kappa)
@@ -297,20 +304,23 @@ def test_scalar_kernel_matches_numpy_reference():
 
 
 def test_inner_method_reports_budget_fallback():
+    # m_s = 9 at M0 = 1 is where a partition budget once forced a lossy
+    # two-partition fallback; no fallback remains, the method reads exact
     rng = np.random.default_rng(3)
     m = validate_model(2, 2, 9, rng.standard_normal((2, 2)),
                        rand_psd(rng, 9), 2.0, 4.0)
     rep = capacity_upper_bound(
         m, SearchConfig(restarts=1, max_iters=2, ranks=(1,)))
     assert rep.M0 == 1
-    assert rep.diagnostics["inner_method"] == "budget_fallback"
+    assert rep.diagnostics["inner_method"] == "exact"
     assert rep.diagnostics["target_rank"] == 1
 
 
 def test_inner_method_reports_exhaustive():
+    # the exact inner minimum attains the exhaustive one (tests below)
     m = validate_model(2, 2, 2, np.eye(2), np.eye(2), 2.0, 4.0)
     rep = capacity_upper_bound(m, FAST_SEARCH)
-    assert rep.diagnostics["inner_method"] == "exhaustive"
+    assert rep.diagnostics["inner_method"] == "exact"
     assert rep.diagnostics["target_rank"] == rep.M0
 
 
@@ -320,7 +330,7 @@ def test_target_rank_reported_beside_collapsed_rank():
                                                ranks=(3,)))
     assert rep.diagnostics["target_rank"] == 3
     assert rep.M0 == 2
-    assert rep.diagnostics["inner_method"] == "exhaustive"
+    assert rep.diagnostics["inner_method"] == "exact"
 
 
 def test_underflowing_cap_gives_infinite_raw_value():
@@ -329,3 +339,48 @@ def test_underflowing_cap_gives_infinite_raw_value():
     rep = capacity_upper_bound(m, SearchConfig(restarts=1, max_iters=3))
     assert rep.raw_value_bits == math.inf
     assert rep.value_bits == pytest.approx(interference_free_capacity(m))
+
+
+def test_candidate_minimum_matches_exhaustive_oracle():
+    rng = np.random.default_rng(20130517)
+    for m_s in range(1, 8):
+        for M0 in range(1, 5):
+            every = exhaustive_partitions(m_s, M0)
+            candidates = enumerate_partitions(m_s, M0)
+            drawn = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
+            for a_max in (math.inf, 1e-3, 1e3, drawn):
+                lam = _descending(rng, M0, 1e-3, 1e3).tolist()
+                v = _descending(rng, m_s, 0.05, 20.0).tolist()
+                want = min(_fast_value(lam, v, a_max, m_s, p, 0.5)
+                           for p in every)
+                got = min(_fast_value(lam, v, a_max, m_s, p, 0.5)
+                          for p in candidates)
+                assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_inner_inf_matches_exhaustive_matrix_minimum(rng):
+    for _ in range(20):
+        m = rand_model(rng, max_ms=4)
+        Q_x = rand_psd(rng, m.m_t, complex_field=np.iscomplexobj(m.H))
+        Q_x *= m.P / np.trace(Q_x).real
+        _, val = inner_inf(m, Q_x)
+        assert val == pytest.approx(exhaustive_inner_inf(m, Q_x),
+                                    rel=0, abs=1e-9)
+
+
+def test_exact_minimum_below_old_fallback():
+    # m_s = 10, M0 = 2 has 113400 fillings; the contiguous pair a partition
+    # budget once fell back to misses the round-robin minimiser
+    Q_s = np.diag(np.geomspace(20.0, 0.05, 10))
+    m = validate_model(2, 2, 10, np.eye(2), Q_s, 3.0, 20.0)
+    Q_x = np.diag([15.0, 5.0])
+    fam, val = inner_inf(m, Q_x)
+    old = exhaustive_inner_inf(m, Q_x, contiguous_fallback(10, 2))
+    assert fam.group_map == ((0, 5), (1, 6), (2, 7), (3, 8), (4, 9))
+    assert val < old - 0.1
+
+
+def test_empty_rank_tuple_rejected():
+    m = validate_model(2, 2, 2, np.eye(2), np.eye(2), 2.0, 4.0)
+    with pytest.raises(NegativeParameter):
+        capacity_upper_bound(m, SearchConfig(ranks=()))
