@@ -10,13 +10,10 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .adversary import GroupPartition, build_family, required_group_sizes
 from .channel import ChannelModel, _hermitize
-from .spectral import logdet_psd, logdet_ratio, signal_subspace, whiten_state
+from .spectral import signal_subspace, whiten_state
 
 
 def water_filling(model: ChannelModel) -> tuple[float, np.ndarray]:
@@ -51,59 +48,32 @@ def interference_free_capacity(model: ChannelModel) -> float:
     return water_filling(model)[0]
 
 
-def _canonical_partition(m_s: int, M0: int) -> GroupPartition:
-    sizes = required_group_sizes(m_s, M0)
-    groups, pos = [], 0
-    for sz in sizes:
-        groups.append(tuple(range(pos, pos + sz)))
-        pos += sz
-    return GroupPartition(groups=tuple(groups))
-
-
 def tin_worst_case(model: ChannelModel) -> float:
     """Guaranteed rate when interference is treated as noise, in bits.
 
     Uses the interference-free optimizer for the input covariance and takes
     the minimum Gaussian rate over the aligned, cap-saturated adversary
-    family (contiguous grouping of the descending state spectrum).  The
-    strongest group aims the largest interference eigenvalues at the
-    strongest signal directions, which is the worst aligned member.
+    family (contiguous grouping of the descending state spectrum), in
+    closed form:
 
-    With an unbounded cap the limit is computed analytically: directions
-    reachable by interference contribute nothing, so the rate is the
-    capacity of the untouched signal directions (zero when interference
-    can cover the whole signal subspace).
+        kappa * sum_r log2(1 + lam_r / (1 + t_r)),   t_r = a_max^2 v_r,
+
+    over the signal rows r < M0, with t_r = 0 on rows past m_s.  It is
+    exact because every member is diagonal in the signal basis: with
+    G = U^dagger diag(lam) U and U A_i Q_s A_i^dagger U^dagger =
+    diag(a_max^2 v_k, zero-padded) (``build_family``), the rate of member i
+    is kappa * log2 det(I + (I + N_i)^{-1} G) = kappa * sum_r log2(1 +
+    lam_r / (1 + t_r)) with t_r from group i's r-th coordinate.  The first
+    group holds the largest eigenvalues and covers at least as many rows as
+    any other, so its t_r dominate row by row and it is the minimising
+    member.  A zero cap gives the interference-free rate of the water-filling
+    covariance; an unbounded cap zeroes every covered row, leaving the
+    capacity of the untouched signal directions (zero when the state can
+    cover the whole signal subspace).
     """
     _, Q_wf = water_filling(model)
-    G = _hermitize(np.asarray(model.H) @ Q_wf @ np.asarray(model.H).conj().T)
     sub = signal_subspace(model.H, Q_wf)
-    if sub.M0 == 0:
-        return 0.0
-    kappa = model.field.kappa
-    if model.a_max == 0.0:
-        return kappa * float(logdet_ratio(np.eye(model.m_r) + G, np.eye(model.m_r)))
-
-    white = whiten_state(model.Q_s)
-    part = _canonical_partition(model.m_s, sub.M0)
-
-    if math.isinf(model.a_max):
-        lam = np.asarray(sub.spectrum)
-        best = math.inf
-        for group in part.groups:
-            occupied = len(group)
-            rate = kappa * float(np.sum(np.log2(1.0 + lam[occupied:])))
-            best = min(best, rate)
-        return best
-
-    fam = build_family(model, sub, white, part)
-    eye = np.eye(model.m_r)
-    best = math.inf
-    for A in fam.members:
-        Nmat = _hermitize(A @ np.asarray(model.Q_s) @ A.conj().T)
-        # det(I + (I+N)^{-1} G) via the noise-whitened signal; stable even
-        # when the interference covariance is enormously ill-conditioned
-        L = np.linalg.cholesky(eye + Nmat)
-        W = np.linalg.solve(L, np.linalg.solve(L, G).conj().T).conj().T
-        rate = kappa * float(logdet_psd(eye + _hermitize(W)))
-        best = min(best, rate)
-    return best
+    v = whiten_state(model.Q_s).eigvals[:sub.M0]
+    t = np.zeros(sub.M0)
+    t[:len(v)] = (model.a_max * model.a_max) * v
+    return model.field.kappa * float(np.sum(np.log2(1.0 + sub.spectrum / (1.0 + t))))

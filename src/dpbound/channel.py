@@ -134,16 +134,18 @@ class AdversaryFamily:
                  ortho_tol: float = ORTHO_TOL) -> None:
         """Raise if any feasibility certificate fails.
 
-        Checks the singular-value cap (skipped for limit families where the
-        cap is infinite by construction), pairwise state-orthogonality and
-        the member count ceil(m_s / M0).
+        Checks the singular-value cap (the unit cap for limit families,
+        whose members are built at unit cap), pairwise state-orthogonality and
+        the member count ceil(m_s / M0).  The orthogonality tolerance scales
+        with cap^2 ||Q_s||, the size of each member's interference
+        covariance, because the rounding error of a cross term does too.
         """
         n_expected = -(-model.m_s // self.M0)
         if len(self.members) != n_expected:
             raise PartitionMismatch(
                 f"family has {len(self.members)} members, expected {n_expected}")
         cap = 1.0 if self.is_limit else self.a_max
-        qs_scale = 1.0 + float(np.linalg.norm(model.Q_s))
+        qs_scale = 1.0 + cap * cap * float(np.linalg.norm(model.Q_s))
         for i, A in enumerate(self.members):
             smax = float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0
             if smax > cap * (1.0 + sv_slack):

@@ -91,6 +91,14 @@ def _cmd_bound_general(args) -> int:
     return 0
 
 
+def _parse_bool(text: str) -> bool:
+    """Parse ``dof --amax-finite``: ``true`` or ``false``, any case."""
+    flag = text.lower()
+    if flag not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return flag == "true"
+
+
 def _cmd_dof(args) -> int:
     scenario = DofScenario(m_t=args.mt, m_r=args.mr, m_s=args.ms,
                            amax_finite=args.amax_finite,
@@ -208,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dof.add_argument("--mt", type=int, required=True)
     p_dof.add_argument("--mr", type=int, required=True)
     p_dof.add_argument("--ms", type=int, required=True)
-    p_dof.add_argument("--amax-finite", type=lambda s: s.lower() == "true",
+    p_dof.add_argument("--amax-finite", type=_parse_bool,
                        required=True, metavar="BOOL")
     p_dof.add_argument("--inr-scaling", required=True,
                        choices=["sublinear", "linear", "superlinear"])
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--traces", default=None,
                          help="comma-separated subset of "
-                              "bound,tin,int_free,half_if,prelog")
+                              "bound,tin,int_free,half_if")
     p_sweep.add_argument("--field", choices=["real", "complex"], default="real")
     p_sweep.set_defaults(func=_cmd_sweep)
 

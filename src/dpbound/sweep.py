@@ -21,8 +21,8 @@ from .channel import FieldKind, inr_to_amax, validate_model
 from .errors import BadSpec
 from .rank1 import Rank1Inputs, prelog_reference, rank_one_bound
 
-TRACE_ORDER = ("bound", "bound_eff", "tin", "int_free", "half_if", "prelog")
-KNOWN_TRACES = ("bound", "tin", "int_free", "half_if", "prelog")
+TRACE_ORDER = ("bound", "bound_eff", "tin", "int_free", "half_if")
+KNOWN_TRACES = ("bound", "tin", "int_free", "half_if")
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     The ``bound`` trace reports the raw bound (the plotted curve, which
     may exceed the interference-free line at low INR); the effective
     min with the interference-free capacity rides along as ``bound_eff``.
-    ``half_if`` and ``prelog`` are two names for the same prelog reference,
-    computed once per point.
+    ``half_if`` is the prelog reference.
     """
     P = 10.0 ** (spec.snr_db / 10.0)
     kappa = spec.field.kappa
@@ -88,12 +87,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             row["tin"] = tin_worst_case(model)
         if "int_free" in want:
             row["int_free"] = int_free
-        if "half_if" in want or "prelog" in want:
-            prelog = prelog_reference(inputs)
-            if "half_if" in want:
-                row["half_if"] = prelog
-            if "prelog" in want:
-                row["prelog"] = prelog
+        if "half_if" in want:
+            row["half_if"] = prelog_reference(inputs)
         rows.append(row)
     metadata = {
         "tool": "dpbound",

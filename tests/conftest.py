@@ -4,6 +4,21 @@ import pytest
 from dpbound import validate_model
 
 
+# A valid model whose cap is large enough that the rounding error of the
+# cross terms A_i Q_s A_j^dagger exceeds a tolerance that ignores the cap.
+BIG_CAP_MODEL = {
+    "m_t": 4, "m_r": 2, "m_s": 3,
+    "H": [[2.0152518061838767, 1.0378024284634166, 0.5227916833432323,
+           0.45725905895534386],
+          [1.7709371728004815, 0.5356296362853685, 0.0775770872272132,
+           -1.2301601607845671]],
+    "Q_s": [[1.1426960418422822, 0.3182149573737294, 1.0287670629715449],
+            [0.3182149573737294, 0.720839821072104, -0.5070950412612851],
+            [1.0287670629715449, -0.5070950412612851, 2.6463108867155847]],
+    "a_max": 9469.890447986876, "P": 2429.6062407610334, "field": "real",
+}
+
+
 def rand_psd(rng, n, lo=0.25, hi=4.0, complex_field=False):
     """Random full-rank PSD matrix with eigenvalues log-uniform in [lo, hi]."""
     w = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))

@@ -11,7 +11,10 @@ reductions, which the library's scalar kernel must reproduce.
 space whose minimum the library's candidate partitions must attain, and
 ``exhaustive_inner_inf`` is the matrix objective minimised over all of
 them.  ``contiguous_fallback`` is the two-partition subset the library
-once used past its partition budget.
+once used past its partition budget.  ``matrix_tin_worst_case`` builds
+the contiguous family and evaluates every member's treat-interference-as-
+noise log-det through a Cholesky factor of I + N, the matrix computation
+that the library's closed-form ``tin_worst_case`` must reproduce.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ import math
 import numpy as np
 
 from dpbound.adversary import GroupPartition, build_family, required_group_sizes
+from dpbound.baselines import water_filling
 from dpbound.channel import _hermitize
 from dpbound.errors import InfeasiblePsi
 from dpbound.general import objective
 from dpbound.oracle import _grid_objective_scalar
-from dpbound.spectral import logdet_psd, signal_subspace, whiten_state
+from dpbound.spectral import logdet_psd, logdet_ratio, signal_subspace, whiten_state
 
 
 def dense_brute_force_inner_inf(model, Q_x, grid_resolution: int) -> float:
@@ -203,3 +207,44 @@ def exhaustive_inner_inf(model, Q_x, parts=None) -> float:
         parts = exhaustive_partitions(model.m_s, sub.M0)
     return min(objective(model, Q_x, build_family(model, sub, white, part))
                for part in parts)
+
+
+def matrix_tin_worst_case(model) -> float:
+    """Worst-case TIN rate from the built family, one Cholesky per member.
+
+    The zero and unbounded caps take their own branches: the log-det of
+    I + G, and the capacity of the signal rows a group cannot reach.
+    """
+    _, Q_wf = water_filling(model)
+    G = _hermitize(np.asarray(model.H) @ Q_wf @ np.asarray(model.H).conj().T)
+    sub = signal_subspace(model.H, Q_wf)
+    if sub.M0 == 0:
+        return 0.0
+    kappa = model.field.kappa
+    if model.a_max == 0.0:
+        return kappa * float(logdet_ratio(np.eye(model.m_r) + G, np.eye(model.m_r)))
+
+    white = whiten_state(model.Q_s)
+    part = contiguous_fallback(model.m_s, sub.M0)[0]
+
+    if math.isinf(model.a_max):
+        lam = np.asarray(sub.spectrum)
+        best = math.inf
+        for group in part.groups:
+            occupied = len(group)
+            rate = kappa * float(np.sum(np.log2(1.0 + lam[occupied:])))
+            best = min(best, rate)
+        return best
+
+    fam = build_family(model, sub, white, part)
+    eye = np.eye(model.m_r)
+    best = math.inf
+    for A in fam.members:
+        Nmat = _hermitize(A @ np.asarray(model.Q_s) @ A.conj().T)
+        # det(I + (I+N)^{-1} G) via the noise-whitened signal; stable even
+        # when the interference covariance is enormously ill-conditioned
+        L = np.linalg.cholesky(eye + Nmat)
+        W = np.linalg.solve(L, np.linalg.solve(L, G).conj().T).conj().T
+        rate = kappa * float(logdet_psd(eye + _hermitize(W)))
+        best = min(best, rate)
+    return best

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from dpbound import (
+    AdversaryFamily,
     GroupPartition,
     build_family,
     enumerate_partitions,
     signal_subspace,
     validate_model,
+    water_filling,
     whiten_state,
 )
 from dpbound.adversary import check_partition, required_group_sizes
-from dpbound.errors import PartitionMismatch
+from dpbound.errors import InfeasibleFamily, PartitionMismatch
 
-from conftest import rand_model, rand_psd
+from conftest import BIG_CAP_MODEL, rand_model, rand_psd
 from reference_oracles import exhaustive_partitions
 
 
@@ -165,3 +167,16 @@ def test_limit_family_is_symbolic():
     fam = build_family(m, sub, white, GroupPartition(groups=((0,),)))
     assert fam.is_limit
     fam.validate(m)  # unit-cap members carry the direction information
+
+
+def test_orthogonality_tolerance_scales_with_cap():
+    m = validate_model(**BIG_CAP_MODEL)
+    sub, white = _prep(m, water_filling(m)[1])
+    assert -(-m.m_s // sub.M0) == 2
+    families = [build_family(m, sub, white, part)  # validates at a_max ~ 9470
+                for part in enumerate_partitions(m.m_s, sub.M0)]
+    A = families[0].members[0]
+    twice = AdversaryFamily(members=(A, A), group_map=((0, 1), (2,)), M0=sub.M0,
+                            a_max=m.a_max)
+    with pytest.raises(InfeasibleFamily, match="not Q_s-orthogonal"):
+        twice.validate(m)

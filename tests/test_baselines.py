@@ -5,12 +5,14 @@ import pytest
 
 from dpbound import (
     interference_free_capacity,
+    signal_subspace,
     tin_worst_case,
     validate_model,
     water_filling,
 )
 
-from conftest import rand_model
+from conftest import BIG_CAP_MODEL, rand_model, rand_psd
+from reference_oracles import matrix_tin_worst_case
 
 P15 = 10.0 ** 1.5
 
@@ -79,6 +81,49 @@ def test_tin_never_exceeds_interference_free(rng):
     for _ in range(40):
         m = rand_model(rng)
         assert tin_worst_case(m) <= interference_free_capacity(m) + 1e-9
+
+
+def _state_dim(shape, M0, rng):
+    """An m_s of the given shape relative to M0, or None if M0 admits none."""
+    if shape == "below":
+        return int(rng.integers(1, M0)) if M0 > 1 else None
+    if shape == "equal":
+        return M0
+    if shape == "divides":
+        return M0 * int(rng.integers(2, 4))
+    return M0 * int(rng.integers(1, 3)) + int(rng.integers(1, M0)) if M0 > 1 else None
+
+
+def test_tin_closed_form_matches_matrix_oracle():
+    # 60 state shapes x 5 caps, every field/shape pair among them; the
+    # matrix oracle's Cholesky of I + N loses accuracy as the cap grows
+    rng = np.random.default_rng(6)
+    shapes = ("below", "equal", "divides", "remainder")
+    n = 0
+    while n < 60:
+        field = ("real", "complex")[n % 2]
+        shape = shapes[(n // 2) % len(shapes)]
+        m_t, m_r = (int(d) for d in rng.integers(1, 4, size=2))
+        H = rng.standard_normal((m_r, m_t))
+        if field == "complex":
+            H = H + 1j * rng.standard_normal((m_r, m_t))
+        P = float(np.exp(rng.uniform(np.log(0.1), np.log(1e3))))
+        probe = validate_model(m_t, m_r, 1, H, [[1.0]], 0.0, P, field)
+        M0 = signal_subspace(probe.H, water_filling(probe)[1]).M0
+        m_s = _state_dim(shape, M0, rng)
+        if m_s is None:
+            continue
+        Q_s = rand_psd(rng, m_s, complex_field=field == "complex")
+        caps = (0.0, 1e-3, float(np.exp(rng.uniform(np.log(1e-3), np.log(1e4)))),
+                1e4, math.inf)
+        for a_max in caps:
+            m = validate_model(m_t, m_r, m_s, H, Q_s, a_max, P, field)
+            tol = 1e-10 if a_max <= 100.0 or math.isinf(a_max) else 1e-7
+            assert tin_worst_case(m) == pytest.approx(matrix_tin_worst_case(m),
+                                                      abs=tol)
+        n += 1
+    m = validate_model(**BIG_CAP_MODEL)
+    assert tin_worst_case(m) == pytest.approx(matrix_tin_worst_case(m), abs=1e-7)
 
 
 def test_interference_free_concave_nondecreasing_in_power():

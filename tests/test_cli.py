@@ -7,6 +7,8 @@ import pytest
 from dpbound import model_to_json, validate_model
 from dpbound.cli import cli_dispatch
 
+from conftest import BIG_CAP_MODEL
+
 
 @pytest.fixture
 def scalar_model_file(tmp_path):
@@ -58,6 +60,36 @@ def test_dof(capsys):
     assert doc["dof"] == 0.5
 
 
+@pytest.mark.parametrize("flag, dof", [("true", 1.0), ("FALSE", 0.5)])
+def test_dof_amax_finite_any_case(capsys, flag, dof):
+    code, doc = run_cli(capsys, "dof", "--mt", "1", "--mr", "1", "--ms", "1",
+                        "--amax-finite", flag, "--inr-scaling", "sublinear")
+    assert code == 0
+    assert doc["dof"] == dof
+
+
+@pytest.mark.parametrize("flag", ["yes", "1", "", "truee"])
+def test_dof_rejects_non_boolean_amax_finite(capsys, flag):
+    code = cli_dispatch(["dof", "--mt", "1", "--mr", "1", "--ms", "1",
+                         f"--amax-finite={flag}", "--inr-scaling", "linear"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--amax-finite" in captured.err
+
+
+def test_large_cap_model_accepted(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(BIG_CAP_MODEL))
+    code, tin = run_cli(capsys, "--quiet", "baseline", "tin",
+                        "--model", str(path))
+    assert code == 0
+    code, doc = run_cli(capsys, "--quiet", "bound", "general",
+                        "--model", str(path), "--restarts", "2")
+    assert code == 0
+    assert tin["tin_bits"] <= doc["value_bits"] + 1e-9
+
+
 def test_baseline_int_free(capsys, scalar_model_file):
     code, doc = run_cli(capsys, "baseline", "int-free",
                         "--model", scalar_model_file)
@@ -87,10 +119,20 @@ def test_sweep_trace_subset(capsys, tmp_path):
     out = tmp_path / "out"
     code, doc = run_cli(capsys, "--quiet", "sweep", "--snr-db", "15",
                         "--inr-start", "0", "--inr-stop", "5", "--step", "1",
-                        "--out", str(out), "--traces", "prelog")
+                        "--out", str(out), "--traces", "half_if")
     assert code == 0
-    assert (out / "prelog.data").exists()
+    assert (out / "half_if.data").exists()
     assert not (out / "bound.data").exists()
+
+
+def test_sweep_prelog_trace_rejected(capsys, tmp_path):
+    # "prelog" was a second name for the half_if trace
+    code = cli_dispatch(["--quiet", "sweep", "--snr-db", "15",
+                         "--inr-start", "0", "--inr-stop", "1", "--step", "1",
+                         "--out", str(tmp_path / "x"), "--traces", "prelog"])
+    assert code == 1
+    assert not (tmp_path / "x").exists()
+    capsys.readouterr()
 
 
 def test_usage_error_exit_code(capsys):

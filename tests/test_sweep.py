@@ -103,23 +103,16 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_json_document(tmp_path):
-    res = run_sweep(default_spec(traces=("bound", "half_if", "prelog")))
+    res = run_sweep(default_spec(traces=("bound", "half_if")))
     emit_data_files(res, tmp_path)
     doc = json.loads((tmp_path / "sweep.json").read_text())
     assert doc["metadata"]["soundness"]["bound"] == "Exact"
     assert doc["metadata"]["snr_db"] == 15.0
+    assert doc["metadata"]["traces"] == ["bound", "half_if"]
     assert len(doc["rows"]) == 51
-    assert "prelog" in doc["rows"][0]
-    for row in doc["rows"]:
-        assert row["half_if"] == row["prelog"]
+    assert set(doc["rows"][0]) == {"inr_db", "bound", "bound_eff", "half_if"}
     csv_lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    header = csv_lines[0].split(",")
-    assert header[-2:] == ["half_if", "prelog"]
-    for line in csv_lines[1:]:
-        cells = line.split(",")
-        assert cells[-2] == cells[-1]
-    assert ((tmp_path / "half_if.data").read_text()
-            == (tmp_path / "prelog.data").read_text())
+    assert csv_lines[0] == "inr_db,bound,bound_eff,half_if"
 
 
 def test_empty_result_writes_nothing(tmp_path):
