@@ -50,7 +50,6 @@ from .spectral import (
     SignalSubspace,
     WhitenedState,
     logdet_ratio,
-    numerical_rank,
     signal_subspace,
     whiten_state,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "logdet_ratio",
     "model_from_json",
     "model_to_json",
-    "numerical_rank",
     "objective",
     "outer_sup",
     "prelog_gap_certificate",

@@ -33,7 +33,7 @@ from .errors import (
     QsRankDeficient,
 )
 
-# Numerical tolerances; override per call where a function accepts them.
+# Numerical tolerances, fixed for every evaluation.
 EPS_PSD = 1e-10          # relative floor for "numerically PSD"
 ORTHO_TOL = 1e-9         # Frobenius tolerance for state-orthogonality checks
 TRACE_SLACK = 1e-12      # relative slack on the power constraint
@@ -90,8 +90,7 @@ class InputCovariance:
     Q_x: np.ndarray
 
     @staticmethod
-    def validate(Q_x, P: float, *, eps_psd: float = EPS_PSD,
-                 trace_slack: float = TRACE_SLACK) -> "InputCovariance":
+    def validate(Q_x, P: float) -> "InputCovariance":
         """Check Hermitian symmetry, numerical PSD-ness and the power budget."""
         Q = _as_matrix(Q_x, "Q_x")
         if Q.shape[0] != Q.shape[1]:
@@ -101,10 +100,10 @@ class InputCovariance:
         Q = _hermitize(Q)
         w = np.linalg.eigvalsh(Q)
         top = max(float(w[-1]), 0.0)
-        if float(w[0]) < -eps_psd * max(top, 1e-300):
+        if float(w[0]) < -EPS_PSD * max(top, 1e-300):
             raise NotPSD(f"Q_x has eigenvalue {w[0]:g} below the PSD tolerance")
         tr = float(np.real(np.trace(Q)))
-        if tr > P * (1.0 + trace_slack):
+        if tr > P * (1.0 + TRACE_SLACK):
             raise PowerBudgetExceeded(
                 f"tr(Q_x)={tr:g} exceeds the power budget P={P:g}")
         return InputCovariance(_freeze(Q))
@@ -130,8 +129,7 @@ class AdversaryFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def validate(self, model: ChannelModel, *, sv_slack: float = SV_CAP_SLACK,
-                 ortho_tol: float = ORTHO_TOL) -> None:
+    def validate(self, model: ChannelModel) -> None:
         """Raise if any feasibility certificate fails.
 
         Checks the singular-value cap (the unit cap for limit families,
@@ -148,27 +146,27 @@ class AdversaryFamily:
         qs_scale = 1.0 + cap * cap * float(np.linalg.norm(model.Q_s))
         for i, A in enumerate(self.members):
             smax = float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0
-            if smax > cap * (1.0 + sv_slack):
+            if smax > cap * (1.0 + SV_CAP_SLACK):
                 raise InfeasibleFamily(
                     f"member {i} has singular value {smax:g} above the cap")
             for j in range(i):
                 cross = self.members[i] @ model.Q_s @ self.members[j].conj().T
-                if float(np.linalg.norm(cross)) > ortho_tol * qs_scale:
+                if float(np.linalg.norm(cross)) > ORTHO_TOL * qs_scale:
                     raise InfeasibleFamily(
                         f"members {i},{j} are not Q_s-orthogonal")
 
 
 def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
-                   field: FieldKind | str = FieldKind.REAL, *,
-                   eps_psd: float = EPS_PSD,
-                   rank_tol: float = RANK_TOL) -> ChannelModel:
+                   field: FieldKind | str = FieldKind.REAL) -> ChannelModel:
     """Validate a raw channel description and return an immutable model.
 
     ``Q_s`` is symmetrized before any check.  Raises ``DimensionMismatch``,
     ``NotPSD``, ``QsRankDeficient``, ``NegativeParameter``, ``NonFinite``
-    (NaN or inf in ``H`` or ``Q_s``, or ``P = inf``; ``a_max = inf`` is
-    legal) or ``FieldMismatch`` as appropriate.  Validation is idempotent:
-    feeding an accepted model's fields back returns an equal model.
+    (NaN or inf in ``H`` or ``Q_s``, ``P = inf``, or an overflowing
+    ``P ||H||_F^2`` or finite-cap ``a_max^2 lambda_max(Q_s)``; ``a_max = inf``
+    and underflowing caps are legal) or ``FieldMismatch`` as appropriate.
+    Validation is idempotent: feeding an accepted model's fields back
+    returns an equal model.
     """
     if isinstance(field, str):
         field = FieldKind(field.lower())
@@ -208,11 +206,15 @@ def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
     top = float(w[-1])
     if top <= 0.0:
         raise QsRankDeficient("Q_s is zero or negative semidefinite")
-    if float(w[0]) < -eps_psd * top:
+    if float(w[0]) < -EPS_PSD * top:
         raise NotPSD(f"Q_s has eigenvalue {w[0]:g} below the PSD tolerance")
-    if float(w[0]) <= rank_tol * top:
+    if float(w[0]) <= RANK_TOL * top:
         raise QsRankDeficient(
             f"Q_s eigenvalue {w[0]:g} is below the rank tolerance; full rank required")
+    if not math.isfinite(P * float(np.vdot(H, H).real)):
+        raise NonFinite("signal power P ||H||_F^2 overflows")
+    if not math.isinf(a_max) and not math.isfinite(a_max * a_max * top):
+        raise NonFinite("interference power a_max^2 lambda_max(Q_s) overflows")
 
     return ChannelModel(m_t=m_t, m_r=m_r, m_s=m_s, H=_freeze(H), Q_s=_freeze(Q),
                         a_max=a_max, P=P, field=field)
@@ -228,6 +230,18 @@ def inr_to_amax(inr_db: float, state_variance: float) -> float:
     if not v > 0.0:
         raise NonpositiveVariance(f"state variance must be positive, got {v}")
     return math.sqrt(10.0 ** (float(inr_db) / 10.0) / v)
+
+
+def _json_safe(x):
+    """``x`` as strict JSON data: non-finite floats, at any depth, become
+    the text ``"inf"``, ``"-inf"`` or ``"nan"``."""
+    if isinstance(x, dict):
+        return {k: _json_safe(val) for k, val in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(val) for val in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(float(x))
+    return x
 
 
 def _matrix_to_json(M: np.ndarray):
@@ -254,7 +268,7 @@ def model_to_json(model: ChannelModel) -> dict:
         "m_s": model.m_s,
         "H": _matrix_to_json(np.asarray(model.H)),
         "Q_s": _matrix_to_json(np.asarray(model.Q_s)),
-        "a_max": "inf" if math.isinf(model.a_max) else model.a_max,
+        "a_max": _json_safe(model.a_max),
         "P": model.P,
         "field": model.field.value,
     }

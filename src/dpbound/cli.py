@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .baselines import interference_free_capacity, tin_worst_case
-from .channel import FieldKind, inr_to_amax, load_model
+from .channel import FieldKind, _json_safe, inr_to_amax, load_model
 from .dof import DofScenario, InrScaling, dof_upper_bound
 from .errors import DirtyPaperError
 from .general import SearchConfig, capacity_upper_bound
@@ -26,8 +26,8 @@ from .sweep import SweepSpec, emit_data_files, run_sweep
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    """Print ``doc`` as strict JSON; a NaN or infinity raises before any output."""
+    print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _note(args, msg: str) -> None:
@@ -43,8 +43,8 @@ def _cmd_bound_rank1(args) -> int:
                          kappa=field.kappa)
     raw = rank_one_bound(inputs)
     int_free = field.kappa * math.log2(1.0 + P)
-    cert = prelog_gap_certificate(inputs)
-    _emit({
+    cert = None if math.isinf(a_max) else prelog_gap_certificate(inputs)
+    _emit(_json_safe({
         "value_bits": min(raw, int_free),
         "raw_value_bits": raw,
         "prelog_bits": prelog_reference(inputs),
@@ -55,7 +55,7 @@ def _cmd_bound_rank1(args) -> int:
         "inr_db": args.inr_db,
         "m_s": args.ms,
         "field": field.value,
-    })
+    }))
     return 0
 
 
@@ -82,8 +82,7 @@ def _parse_ranks(text: str) -> tuple:
 
 def _cmd_bound_general(args) -> int:
     model = load_model(args.model)
-    search = SearchConfig(restarts=args.restarts, seed=args.seed,
-                          ranks=args.ranks)
+    search = SearchConfig(restarts=args.restarts, ranks=args.ranks)
     _note(args, f"evaluating bound for {model.m_t}x{model.m_r} channel, "
                 f"m_s={model.m_s}")
     report = capacity_upper_bound(model, search)
@@ -208,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--model", required=True, help="model JSON file")
     p_gen.add_argument("--ranks", type=_parse_ranks, default=None,
                        help="signal ranks to try, e.g. 1..2 or 1,3")
-    p_gen.add_argument("--restarts", type=int, default=16)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--restarts", type=int, default=SearchConfig.restarts)
     p_gen.set_defaults(func=_cmd_bound_general)
 
     p_dof = sub.add_parser("dof", help="degrees-of-freedom upper bound")

@@ -26,7 +26,7 @@ class NegativeParameter(DirtyPaperError):
 
 
 class NonFinite(DirtyPaperError):
-    """A matrix entry or the power budget is NaN or infinite."""
+    """An entry, power or parameter is NaN or infinite, or a power overflows."""
 
 
 class FieldMismatch(DirtyPaperError):

@@ -24,7 +24,8 @@ import numpy as np
 
 from .adversary import GroupPartition, build_family, enumerate_partitions
 from .baselines import interference_free_capacity, water_filling
-from .channel import AdversaryFamily, ChannelModel, InputCovariance, _hermitize
+from .channel import (RANK_TOL, AdversaryFamily, ChannelModel, InputCovariance,
+                      _hermitize, _json_safe, _matrix_to_json)
 from .errors import NegativeParameter, PartitionMismatch, RankZeroSignal
 from .rank1 import rank1_inputs_from_model, rank_one_bound
 from .spectral import logdet_psd, logdet_ratio, signal_subspace, whiten_state
@@ -38,12 +39,14 @@ class Soundness(enum.Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Deterministic multistart settings for the outer maximization."""
+    """Multistart settings for the outer maximization.
+
+    Restart r at rank target t draws from the fixed stream
+    ``default_rng([0, t, r])``, so equal settings give equal bounds.
+    """
 
     restarts: int = 16
-    seed: int = 0
     max_iters: int = 500
-    rel_improvement: float = 1e-8
     ranks: tuple | None = None     # subset of signal ranks to try; None = all
 
 
@@ -64,18 +67,15 @@ class BoundReport:
     diagnostics: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> dict:
-        def enc(x):
-            if isinstance(x, float) and math.isinf(x):
-                return "inf"
-            return x
-        return {
-            "value_bits": enc(self.value_bits),
-            "raw_value_bits": enc(self.raw_value_bits),
+        """The report as strict JSON data (see ``channel._json_safe``)."""
+        return _json_safe({
+            "value_bits": self.value_bits,
+            "raw_value_bits": self.raw_value_bits,
             "M0": self.M0,
             "kappa": self.kappa,
             "soundness": self.soundness.value,
             "diagnostics": self.diagnostics,
-        }
+        })
 
 
 def objective(model: ChannelModel, Q_x, fam: AdversaryFamily) -> float:
@@ -241,12 +241,12 @@ def inner_inf(model: ChannelModel, Q_x, *,
     return fam, objective(model, Q_x, fam)
 
 
-def _spectrum_of(H: np.ndarray, F: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
+def _spectrum_of(H: np.ndarray, F: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(H @ F, compute_uv=False)
     lam = s * s
     if lam.size == 0 or lam[0] <= 0.0:
         return lam[:0]
-    return lam[lam > rel_tol * lam[0]]
+    return lam[lam > RANK_TOL * lam[0]]
 
 
 class _AscentProblem:
@@ -273,7 +273,7 @@ class _AscentProblem:
 
 
 def _coordinate_ascent(problem: _AscentProblem, F0: np.ndarray, P: float,
-                       max_iters: int, rel_tol: float) -> tuple[np.ndarray, float, int, bool]:
+                       max_iters: int) -> tuple[np.ndarray, float, int, bool]:
     """Maximize over factors on the Frobenius sphere of radius sqrt(P)."""
     scale = math.sqrt(P)
 
@@ -304,7 +304,7 @@ def _coordinate_ascent(problem: _AscentProblem, F0: np.ndarray, P: float,
                 if val > best:
                     improved += val - best
                     F, best = cand, val
-        if improved <= rel_tol * (abs(best) + 1e-12):
+        if improved <= 1e-8 * (abs(best) + 1e-12):
             step *= 0.5
             if step < 1e-9 * scale:
                 break
@@ -319,8 +319,9 @@ def outer_sup(model: ChannelModel, M0_target: int,
     P (the objective never decreases when the signal block grows, so full
     power is optimal).  Single-antenna channels are delegated to the exact
     closed form; everything else is labeled as a heuristic supremum.  The
-    report's ``M0`` is the signal rank the search reached, which can fall
-    below ``diagnostics["target_rank"]``.  ``diagnostics["inner_method"]``
+    report's ``M0`` is the rank of the witness, ``signal_subspace`` of the
+    best covariance found, whose family gives the reported value; it can
+    fall below ``diagnostics["target_rank"]``.  ``diagnostics["inner_method"]``
     is ``"exact"``: at every evaluation, and for the reported value, the
     inner minimum is taken over all aligned families, through the
     candidate partitions of ``adversary.enumerate_partitions``.  It is null
@@ -364,7 +365,7 @@ def outer_sup(model: ChannelModel, M0_target: int,
         seeds.append((V[:, active] * np.sqrt(w[active])).astype(dtype))
     rng_count = max(search.restarts - len(seeds), 0)
     for r in range(rng_count):
-        rng = np.random.default_rng([search.seed, M0_target, r])
+        rng = np.random.default_rng([0, M0_target, r])
         F = rng.standard_normal((model.m_t, M0_target))
         if dtype is complex:
             F = F + 1j * rng.standard_normal((model.m_t, M0_target))
@@ -372,20 +373,19 @@ def outer_sup(model: ChannelModel, M0_target: int,
 
     best_F, best_val, total_iters, exhausted = None, -math.inf, 0, False
     for F0 in seeds:
-        F, val, iters, flag = _coordinate_ascent(
-            problem, F0, P, search.max_iters, search.rel_improvement)
+        F, val, iters, flag = _coordinate_ascent(problem, F0, P, search.max_iters)
         total_iters += iters
         exhausted = exhausted or flag
         if val > best_val:
             best_F, best_val = F, val
 
     Q_best = _hermitize(best_F @ best_F.conj().T)
-    lam = _spectrum_of(H, best_F)
-    if lam.size == 0:
-        raw, group_map, inner_method = 0.0, (), None
-    else:
+    try:
         fam, raw = inner_inf(model, Q_best)
-        group_map, inner_method = fam.group_map, "exact"
+    except RankZeroSignal:
+        raw, M0, group_map, inner_method = 0.0, 0, (), None
+    else:
+        M0, group_map, inner_method = fam.M0, fam.group_map, "exact"
     diagnostics = {
         "mode": "multistart_ascent",
         "target_rank": M0_target,
@@ -393,12 +393,11 @@ def outer_sup(model: ChannelModel, M0_target: int,
         "restarts": len(seeds),
         "iterations": total_iters,
         "budget_exhausted": exhausted,
-        "best_Q_x": np.asarray(Q_best).tolist() if dtype is float else
-                    [[[z.real, z.imag] for z in row] for row in Q_best],
+        "best_Q_x": _matrix_to_json(Q_best),
         "partition": [list(g) for g in group_map],
     }
     return BoundReport(value_bits=min(raw, if_cap), raw_value_bits=raw,
-                       M0=int(lam.size), kappa=model.field.kappa,
+                       M0=M0, kappa=model.field.kappa,
                        soundness=Soundness.HEURISTIC_SUP,
                        diagnostics=diagnostics)
 

@@ -165,7 +165,7 @@ def _blockwise_min(n_rows: int, row_points: int, block) -> float:
                          for i in range(0, n_rows, step)]))
 
 
-def concavity_trials(seeds, per_seed: int, max_dim: int = 4):
+def concavity_trials(seeds, per_seed: int):
     """Draw seeded (M, Psi) trials and yield them grouped by dimension.
 
     Each seed's generator draws its ``per_seed`` trials one after another,
@@ -184,7 +184,7 @@ def concavity_trials(seeds, per_seed: int, max_dim: int = 4):
     for seed in seeds:
         rng = np.random.default_rng(seed)
         for _ in range(per_seed):
-            n = int(rng.integers(1, max_dim + 1))
+            n = int(rng.integers(1, 5))     # dimensions 1..4
             positions, Bs, Cs, scales = draws.setdefault(n, ([], [], [], []))
             positions.append(position)
             Bs.append(rng.standard_normal((n, n)))
@@ -204,10 +204,10 @@ def concavity_trials(seeds, per_seed: int, max_dim: int = 4):
         yield np.array(positions), M, Psi * scale[:, None, None]
 
 
-def feasible_concavity_pairs(seed: int, count: int, max_dim: int = 4):
+def feasible_concavity_pairs(seed: int, count: int):
     """Yield seed's ``count`` (M, Psi) pairs of :func:`concavity_trials` in order."""
     pairs = [None] * count
-    for order, M, Psi in concavity_trials((seed,), count, max_dim):
+    for order, M, Psi in concavity_trials((seed,), count):
         for i, M_i, Psi_i in zip(order, M, Psi):
             pairs[i] = (M_i, Psi_i)
     yield from pairs
@@ -364,8 +364,8 @@ def fixed_equivalence_suite() -> list[dict]:
     return cases
 
 
-def run_equivalence_suite(tolerance: float = 1e-4) -> list[dict]:
-    """Run the fixed suite; returns one record per case with the gap."""
+def run_equivalence_suite() -> list[dict]:
+    """Run the fixed suite: one record per case, ``ok`` for a gap <= 1e-4 bits."""
     records = []
     for i, case in enumerate(fixed_equivalence_suite()):
         _, aligned = inner_inf(case["model"], case["Q_x"])
@@ -376,6 +376,6 @@ def run_equivalence_suite(tolerance: float = 1e-4) -> list[dict]:
             "aligned": aligned,
             "brute_force": brute,
             "gap": abs(aligned - brute),
-            "ok": bool(abs(aligned - brute) <= tolerance),
+            "ok": bool(abs(aligned - brute) <= 1e-4),
         })
     return records

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .errors import NegativeParameter, NotRankOne, ZeroAmax
+from .errors import NegativeParameter, NonFinite, NotRankOne, ZeroAmax
 from .spectral import whiten_state
 
 
@@ -32,10 +32,15 @@ class Rank1Inputs:
     kappa: float
 
     def __post_init__(self):
+        if not math.isfinite(self.h_norm_sq_P):
+            raise NonFinite(f"received signal power is {self.h_norm_sq_P}")
         if self.h_norm_sq_P < 0.0:
             raise NegativeParameter("received signal power must be nonnegative")
-        if any(x <= 0.0 for x in self.v):
-            raise NegativeParameter("state eigenvalues must be positive")
+        if not self.a_max >= 0.0:
+            raise NegativeParameter(f"a_max must be in [0, inf], got {self.a_max}")
+        if not self.v or not all(x > 0.0 for x in self.v):
+            raise NegativeParameter(
+                "state eigenvalues must be positive, and at least one is required")
 
 
 def rank_one_bound(inputs: Rank1Inputs) -> float:

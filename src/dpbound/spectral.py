@@ -39,26 +39,12 @@ class WhitenedState:
     eigvals: np.ndarray   # positive, descending
 
 
-def numerical_rank(M, rel_tol: float = RANK_TOL) -> int:
-    """Count eigenvalues above ``rel_tol`` times the largest one.
-
-    Returns 0 for the (numerically) zero matrix.  The input is symmetrized
-    internally, so slight asymmetry from floating-point products is fine.
-    """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {M.shape}")
-    w = np.linalg.eigvalsh(_hermitize(M))
-    top = float(w[-1])
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(w > rel_tol * top))
-
-
-def signal_subspace(H, Q_x, rel_tol: float = RANK_TOL) -> SignalSubspace:
+def signal_subspace(H, Q_x) -> SignalSubspace:
     """Extract the message-bearing subspace of the receive space.
 
-    ``Q_x`` may be an :class:`InputCovariance` or a raw matrix.
+    ``Q_x`` may be an :class:`InputCovariance` or a raw matrix.  ``M0``
+    counts the eigenvalues of H Q_x H^dagger above ``RANK_TOL`` times the
+    largest (0 for a numerically zero matrix).
     """
     if isinstance(Q_x, InputCovariance):
         Q_x = Q_x.Q_x
@@ -68,7 +54,7 @@ def signal_subspace(H, Q_x, rel_tol: float = RANK_TOL) -> SignalSubspace:
     w = w[::-1]
     V = V[:, ::-1]
     top = float(w[0])
-    M0 = 0 if top <= 0.0 else int(np.count_nonzero(w > rel_tol * top))
+    M0 = 0 if top <= 0.0 else int(np.count_nonzero(w > RANK_TOL * top))
     U = V[:, :M0].conj().T
     return SignalSubspace(M0=M0, U=_freeze(U), spectrum=_freeze(w[:M0].copy()))
 
@@ -84,7 +70,7 @@ def whiten_state(Q_s) -> WhitenedState:
     return WhitenedState(eigvecs=_freeze(E), eigvals=_freeze(w.copy()))
 
 
-def _logdet2(M, rel_tol: float) -> tuple[float, bool]:
+def _logdet2(M) -> tuple[float, bool]:
     """(log2 det M, singular flag) for a PSD matrix, via eigenvalues."""
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -95,26 +81,26 @@ def _logdet2(M, rel_tol: float) -> tuple[float, bool]:
     top = float(w[-1])
     if top <= 0.0:
         return -math.inf, True
-    keep = w > rel_tol * top
+    keep = w > RANK_TOL * top
     if not bool(keep.all()):
         return -math.inf, True
     return float(np.sum(np.log2(w))), False
 
 
-def logdet_psd(M, rel_tol: float = RANK_TOL) -> float:
+def logdet_psd(M) -> float:
     """log2 det(M) for a PSD matrix; -inf when numerically singular."""
-    return _logdet2(M, rel_tol)[0]
+    return _logdet2(M)[0]
 
 
-def logdet_ratio(numer, denom, rel_tol: float = RANK_TOL) -> float:
+def logdet_ratio(numer, denom) -> float:
     """log2 det(numer) - log2 det(denom) for PSD matrices.
 
     Singularity is decided relative to each matrix's own top eigenvalue.
     A singular denominator with a nonsingular numerator yields +inf; the
     0/0 case raises :class:`BothSingular` rather than guessing.
     """
-    ld_n, sing_n = _logdet2(numer, rel_tol)
-    ld_d, sing_d = _logdet2(denom, rel_tol)
+    ld_n, sing_n = _logdet2(numer)
+    ld_d, sing_d = _logdet2(denom)
     if sing_n and sing_d:
         raise BothSingular("both matrices in the log-det ratio are singular")
     if sing_d:

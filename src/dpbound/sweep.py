@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import __version__
 from .baselines import interference_free_capacity, tin_worst_case
-from .channel import FieldKind, inr_to_amax, validate_model
+from .channel import FieldKind, _json_safe, inr_to_amax, validate_model
 from .errors import BadSpec
 from .rank1 import Rank1Inputs, prelog_reference, rank_one_bound
 
@@ -37,6 +37,9 @@ class SweepSpec:
     traces: tuple = ("bound", "tin", "int_free", "half_if")
 
     def __post_init__(self):
+        for name in ("snr_db", "inr_db_start", "inr_db_stop", "inr_db_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise BadSpec(f"{name} must be finite, got {getattr(self, name)}")
         if not self.traces:
             raise BadSpec("at least one trace must be requested")
         unknown = [t for t in self.traces if t not in KNOWN_TRACES]
@@ -139,14 +142,7 @@ def emit_data_files(result: SweepResult, out_dir) -> list[str]:
     written.append(csv_path)
 
     json_path = os.path.join(out_dir, "sweep.json")
-    doc = {
-        "metadata": result.metadata,
-        "rows": [
-            {k: ("inf" if isinstance(val, float) and math.isinf(val) else val)
-             for k, val in row.items()}
-            for row in result.rows
-        ],
-    }
+    doc = _json_safe({"metadata": result.metadata, "rows": result.rows})
     with open(json_path, "w", encoding="ascii", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -19,6 +19,19 @@ BIG_CAP_MODEL = {
 }
 
 
+# A 3x3, m_s = 1 model (a benchmark pool model) on which the rank-3 search
+# at restarts=2, max_iters=40 ends on a covariance of signal rank 2: the
+# ascent's own rank cut counts a third mode that ``signal_subspace`` drops.
+WITNESS_RANK_MODEL = {
+    "m_t": 3, "m_r": 3, "m_s": 1,
+    "H": [[-0.23487183196581754, 0.20216736698145094, -0.6732706178811384],
+          [3.2157465031413506, -1.8224686854849714, -0.1853341113688925],
+          [-1.5040518057653116, 0.8697356922288371, 1.441599120930542]],
+    "Q_s": [[3.441755474718306]],
+    "a_max": 90.18856404396838, "P": 0.3035106102761657, "field": "real",
+}
+
+
 def rand_psd(rng, n, lo=0.25, hi=4.0, complex_field=False):
     """Random full-rank PSD matrix with eigenvalues log-uniform in [lo, hi]."""
     w = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))

@@ -126,7 +126,7 @@ def test_criterion_5_sandwich():
 
 
 def test_criterion_6_oracle_equivalence():
-    records = run_equivalence_suite(tolerance=1e-4)
+    records = run_equivalence_suite()
     worst = max(r["gap"] for r in records)
     ok = len(records) == 20 and all(r["ok"] for r in records)
     report(6, ok, f"20 fixed cases, max |aligned - brute| = {worst:.3g} (<=1e-4)")
@@ -135,7 +135,7 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_concavity_inequality():
     trials, failures = 0, 0
     for seed in SEED_LADDER:
-        for M, Psi in feasible_concavity_pairs(seed, 100, max_dim=4):
+        for M, Psi in feasible_concavity_pairs(seed, 100):
             trials += 1
             if not logdet_concavity_check(M, Psi):
                 failures += 1

@@ -73,6 +73,27 @@ def test_non_finite_rejected(bad):
         validate_model(1, 1, 1, [[1.0]], [[1.0]], 1.0, math.nan)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_overflowing_powers_rejected(field):
+    I2 = np.eye(2)
+    with pytest.raises(NonFinite, match="signal power"):
+        validate_model(2, 2, 2, np.diag([1e200, 1.0]), I2, 2.0, 10.0, field)
+    with pytest.raises(NonFinite, match="signal power"):
+        validate_model(2, 2, 2, np.diag([1e154, 1.0]), I2, 2.0, 1e300, field)
+    with pytest.raises(NonFinite, match="interference power"):
+        validate_model(2, 2, 2, I2, I2, 1e300, 10.0, field)
+    with pytest.raises(NonFinite, match="interference power"):
+        validate_model(2, 2, 2, I2, 1e200 * I2, 1e100, 10.0, field)
+
+
+def test_unbounded_and_underflowing_caps_legal():
+    I2 = np.eye(2)
+    assert math.isinf(validate_model(2, 2, 2, I2, 1e200 * I2, math.inf, 10.0).a_max)
+    assert validate_model(2, 2, 2, I2, I2, 1e-200, 10.0).a_max == 1e-200
+    # large but finite powers stay legal
+    validate_model(2, 2, 2, np.diag([1e150, 1.0]), I2, 1e100, 10.0)
+
+
 def test_qs_symmetrized_before_checks():
     q = np.array([[2.0, 1.0 + 1e-12], [1.0 - 1e-12, 2.0]])
     m = validate_model(1, 1, 2, [[1.0]], q, 1.0, 1.0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dpbound import model_to_json, validate_model
-from dpbound.cli import cli_dispatch
+from dpbound.cli import _emit, cli_dispatch
 
 from conftest import BIG_CAP_MODEL
 
@@ -18,10 +18,27 @@ def scalar_model_file(tmp_path):
     return str(path)
 
 
+def _not_strict_json(name):
+    raise AssertionError(f"stdout is not strict JSON: it holds {name}")
+
+
 def run_cli(capsys, *argv):
+    """Exit code and stdout, parsed as strict JSON (no NaN or Infinity)."""
     code = cli_dispatch(list(argv))
     out = capsys.readouterr().out
-    return code, json.loads(out) if out.strip() else None
+    if not out.strip():
+        return code, None
+    return code, json.loads(out, parse_constant=_not_strict_json)
+
+
+def rejects(capsys, *argv) -> str:
+    """Assert that the command exits 1 with an error and no stdout; its stderr."""
+    code = cli_dispatch(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    return captured.err
 
 
 def test_bound_rank1(capsys):
@@ -222,3 +239,85 @@ def test_non_finite_model_rejected(capsys, tmp_path, field, value):
     assert code == 1
     assert "finite" in err
     assert "converge" not in err and "LinAlgError" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--snr-db", "nan", "--inr-db", "40", "--ms", "1"],
+    ["--snr-db", "15", "--inr-db", "nan", "--ms", "1"],
+    ["--snr-db", "inf", "--inr-db", "40", "--ms", "1"],
+    ["--snr-db", "15", "--inr-db", "40", "--ms", "0"],
+    ["--snr-db", "15", "--inr-db", "40", "--ms=-1"],
+])
+def test_bound_rank1_rejects_bad_input(capsys, argv):
+    err = rejects(capsys, "bound", "rank1", *argv)
+    assert "empty sequence" not in err
+
+
+def test_bound_rank1_unbounded_cap(capsys):
+    code, doc = run_cli(capsys, "bound", "rank1", "--snr-db", "15",
+                        "--inr-db", "inf", "--ms", "2")
+    assert code == 0
+    assert doc["gap_certificate"] is None
+    assert doc["inr_db"] == "inf"
+    assert doc["raw_value_bits"] == doc["prelog_bits"] > 0.0
+
+
+def test_bound_rank1_zero_snr_echoed_as_text(capsys):
+    code, doc = run_cli(capsys, "bound", "rank1", "--snr-db=-inf",
+                        "--inr-db", "10", "--ms", "1")
+    assert code == 0
+    assert doc["snr_db"] == "-inf"
+    assert doc["value_bits"] == 0.0
+
+
+# Models whose signal or interference power overflows a float (Q_s = I and
+# P = 10 unless given): each printed a number or failed deep in the stack.
+OVERFLOW_MODELS = {
+    "signal": ([[1e200, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], 2.0),
+    "cap": ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], 1e300),
+    "state": ([[1.0, 0.0], [0.0, 1.0]], [[1e200, 0.0], [0.0, 1e200]], 1e100),
+}
+
+
+@pytest.mark.parametrize("command", [["bound", "general"], ["baseline", "tin"],
+                                     ["baseline", "int-free"]])
+@pytest.mark.parametrize("which", sorted(OVERFLOW_MODELS))
+def test_overflowing_power_rejected(capsys, tmp_path, command, which):
+    H, Q_s, a_max = OVERFLOW_MODELS[which]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"m_t": 2, "m_r": 2, "m_s": 2, "H": H,
+                                "Q_s": Q_s, "a_max": a_max, "P": 10.0,
+                                "field": "real"}))
+    err = rejects(capsys, "--quiet", *command, "--model", str(path))
+    assert "overflows" in err
+
+
+def test_bound_general_infinite_raw_value_is_strict_json(capsys, tmp_path):
+    # a_max^2 underflows: every rank's raw value is +inf
+    m = validate_model(2, 2, 3, np.eye(2), np.eye(3), 1e-200, 4.0)
+    path = tmp_path / "tiny_cap.json"
+    path.write_text(json.dumps(model_to_json(m)))
+    code, doc = run_cli(capsys, "--quiet", "bound", "general",
+                        "--model", str(path), "--restarts", "1")
+    assert code == 0
+    assert doc["raw_value_bits"] == "inf"
+    assert doc["diagnostics"]["per_rank_raw"] == {"1": "inf", "2": "inf"}
+
+
+def test_emit_refuses_non_finite_before_writing(capsys):
+    with pytest.raises(ValueError):
+        _emit({"fine": 1.0, "value": math.nan})
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("axis", [
+    ["--snr-db", "nan", "--inr-start", "0", "--inr-stop", "1", "--step", "1"],
+    ["--snr-db", "15", "--inr-start=-inf", "--inr-stop", "1", "--step", "1"],
+    ["--snr-db", "15", "--inr-start", "0", "--inr-stop", "inf", "--step", "1"],
+    ["--snr-db", "15", "--inr-start", "0", "--inr-stop", "1", "--step", "nan"],
+    ["--snr-db", "15", "--inr-start", "0", "--inr-stop", "1", "--step", "inf"],
+])
+def test_sweep_rejects_non_finite_axis(capsys, tmp_path, axis):
+    err = rejects(capsys, "--quiet", "sweep", *axis, "--out", str(tmp_path / "x"))
+    assert "must be finite" in err
+    assert not (tmp_path / "x").exists()

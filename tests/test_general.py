@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from dpbound import (
+    BoundReport,
     GroupPartition,
     SearchConfig,
     Soundness,
@@ -12,6 +14,7 @@ from dpbound import (
     enumerate_partitions,
     inner_inf,
     interference_free_capacity,
+    model_from_json,
     objective,
     outer_sup,
     rank1_inputs_from_model,
@@ -22,9 +25,10 @@ from dpbound import (
     whiten_state,
 )
 from dpbound.errors import NegativeParameter, PartitionMismatch, RankZeroSignal
+from dpbound.channel import _matrix_from_json
 from dpbound.general import _AscentProblem, _fast_value
 
-from conftest import rand_model, rand_psd
+from conftest import WITNESS_RANK_MODEL, rand_model, rand_psd
 from reference_oracles import (
     contiguous_fallback,
     exhaustive_inner_inf,
@@ -384,3 +388,41 @@ def test_empty_rank_tuple_rejected():
     m = validate_model(2, 2, 2, np.eye(2), np.eye(2), 2.0, 4.0)
     with pytest.raises(NegativeParameter):
         capacity_upper_bound(m, SearchConfig(ranks=()))
+
+
+def _witness_rank(model, rep) -> int:
+    Q = _matrix_from_json(rep.diagnostics["best_Q_x"], "best_Q_x")
+    return signal_subspace(model.H, Q).M0
+
+
+def test_reported_rank_is_witness_rank():
+    m = model_from_json(WITNESS_RANK_MODEL)
+    rep = outer_sup(m, 3, SearchConfig(restarts=2, max_iters=40))
+    assert rep.M0 == _witness_rank(m, rep) == 2
+    assert rep.diagnostics["target_rank"] == 3
+
+
+def test_reported_rank_is_witness_rank_random(rng):
+    checked = 0
+    while checked < 12:
+        m = rand_model(rng)
+        if min(m.m_t, m.m_r) < 2:
+            continue
+        for t in range(1, min(m.m_t, m.m_r) + 1):
+            rep = outer_sup(m, t, SearchConfig(restarts=2, max_iters=20))
+            assert rep.M0 == _witness_rank(m, rep)
+            checked += 1
+
+
+def test_report_json_encodes_non_finite_at_any_depth():
+    rep = BoundReport(value_bits=1.0, raw_value_bits=math.inf, M0=1,
+                      kappa=0.5, soundness=Soundness.HEURISTIC_SUP,
+                      diagnostics={"per_rank_raw": {"1": math.inf},
+                                   "row": [-math.inf, math.nan, 2.0],
+                                   "nested": [[np.float64(math.inf)]]})
+    doc = rep.to_json()
+    json.dumps(doc, allow_nan=False)
+    assert doc["raw_value_bits"] == "inf"
+    assert doc["diagnostics"] == {"per_rank_raw": {"1": "inf"},
+                                  "row": ["-inf", "nan", 2.0],
+                                  "nested": [["inf"]]}

@@ -171,7 +171,7 @@ def test_cross_check_rejects_mimo():
 
 
 def test_equivalence_suite_all_within_slack():
-    records = run_equivalence_suite(tolerance=1e-4)
+    records = run_equivalence_suite()
     assert len(records) == 20
     assert all(r["ok"] for r in records)
     # aligned minimum is never below the grid minimum (grid contains it)

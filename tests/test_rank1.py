@@ -12,7 +12,7 @@ from dpbound import (
     rank_one_bound,
     validate_model,
 )
-from dpbound.errors import NotRankOne, ZeroAmax
+from dpbound.errors import NegativeParameter, NonFinite, NotRankOne, ZeroAmax
 
 P15 = 10.0 ** 1.5
 
@@ -45,6 +45,24 @@ def test_bound_two_state_dims():
 def test_zero_cap_rejected():
     with pytest.raises(ZeroAmax):
         rank_one_bound(Rank1Inputs(1.0, (1.0,), 0.0, 0.5))
+
+
+@pytest.mark.parametrize("hp", [math.nan, math.inf, -math.inf])
+def test_non_finite_signal_power_rejected(hp):
+    with pytest.raises(NonFinite):
+        Rank1Inputs(hp, (1.0,), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("v, a_max", [
+    ((1.0,), math.nan),
+    ((), 1.0),
+    ((1.0, 0.0), 1.0),
+    ((1.0, -2.0), 1.0),
+    ((math.nan,), 1.0),
+])
+def test_invalid_cap_or_state_rejected(v, a_max):
+    with pytest.raises(NegativeParameter):
+        Rank1Inputs(1.0, v, a_max, 0.5)
 
 
 def test_prelog_values():

@@ -4,28 +4,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpbound import logdet_ratio, numerical_rank, signal_subspace, whiten_state
+from dpbound import logdet_ratio, signal_subspace, whiten_state
 from dpbound.errors import BothSingular, NotSquare, QsRankDeficient
 from dpbound.spectral import logdet_psd
 
 from conftest import rand_psd
 
 
+def _rank(M) -> int:
+    """The numerical rank of PSD ``M``, by ``signal_subspace``'s rule (H = I)."""
+    M = np.asarray(M)
+    return signal_subspace(np.eye(M.shape[0]), M).M0
+
+
 def test_numerical_rank_basics():
-    assert numerical_rank(np.eye(3), 1e-9) == 3
-    assert numerical_rank(np.diag([1.0, 1e-15]), 1e-9) == 1
+    assert _rank(np.eye(3)) == 3
+    assert _rank(np.diag([1.0, 1e-15])) == 1
     w = np.array([1.0, 2.0, 2.0])
-    assert numerical_rank(np.outer(w, w), 1e-9) == 1
-    assert numerical_rank(np.zeros((2, 2))) == 0
-    with pytest.raises(NotSquare):
-        numerical_rank(np.zeros((2, 3)))
+    assert _rank(np.outer(w, w)) == 1
+    assert _rank(np.zeros((2, 2))) == 0
 
 
 def test_numerical_rank_scale_equivariant(rng):
     for _ in range(20):
         M = rand_psd(rng, int(rng.integers(1, 5)), lo=1e-3, hi=1e3)
         c = float(np.exp(rng.uniform(-20, 20)))
-        assert numerical_rank(M) == numerical_rank(c * M)
+        assert _rank(M) == _rank(c * M)
 
 
 def test_signal_subspace_axis_aligned():
@@ -122,3 +126,5 @@ def test_logdet_ratio_matches_scalar_logs(a, b):
 def test_logdet_psd_empty_and_singular():
     assert logdet_psd(np.zeros((0, 0))) == 0.0
     assert logdet_psd(np.diag([1.0, 0.0])) == -math.inf
+    with pytest.raises(NotSquare):
+        logdet_psd(np.zeros((2, 3)))

@@ -43,6 +43,14 @@ def test_bad_grid_rejected():
         default_spec(inr_db_start=50.0)
 
 
+@pytest.mark.parametrize("axis", ["snr_db", "inr_db_start", "inr_db_stop",
+                                  "inr_db_step"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_axis_rejected(axis, bad):
+    with pytest.raises(BadSpec, match=axis):
+        default_spec(**{axis: bad})
+
+
 def test_reference_constants():
     res = run_sweep(default_spec())
     rows = {r["inr_db"]: r for r in res.rows}
