@@ -220,6 +220,19 @@ def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
                         a_max=a_max, P=P, field=field)
 
 
+def db_to_power(db: float, name: str) -> float:
+    """``10^(db/10)``, the linear power of ``db``; ``name`` labels the error.
+
+    Raises ``NonFinite`` when the power overflows a float (above about
+    3083 dB), the same rule ``validate_model`` applies to an overflowing
+    signal or interference power.  Very negative values underflow to 0.
+    """
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        raise NonFinite(f"{name} of {db} dB overflows a float") from None
+
+
 def inr_to_amax(inr_db: float, state_variance: float) -> float:
     """Map a worst-case INR (dB) onto the amplification cap.
 
@@ -229,7 +242,7 @@ def inr_to_amax(inr_db: float, state_variance: float) -> float:
     v = float(state_variance)
     if not v > 0.0:
         raise NonpositiveVariance(f"state variance must be positive, got {v}")
-    return math.sqrt(10.0 ** (float(inr_db) / 10.0) / v)
+    return math.sqrt(db_to_power(inr_db, "INR") / v)
 
 
 def _json_safe(x):

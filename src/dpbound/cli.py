@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .baselines import interference_free_capacity, tin_worst_case
-from .channel import FieldKind, _json_safe, inr_to_amax, load_model
+from .channel import FieldKind, _json_safe, db_to_power, inr_to_amax, load_model
 from .dof import DofScenario, InrScaling, dof_upper_bound
 from .errors import DirtyPaperError
 from .general import SearchConfig, capacity_upper_bound
@@ -36,7 +36,7 @@ def _note(args, msg: str) -> None:
 
 
 def _cmd_bound_rank1(args) -> int:
-    P = 10.0 ** (args.snr_db / 10.0)
+    P = db_to_power(args.snr_db, "SNR")
     field = FieldKind(args.field)
     a_max = inr_to_amax(args.inr_db, 1.0)
     inputs = Rank1Inputs(h_norm_sq_P=P, v=(1.0,) * args.ms, a_max=a_max,
@@ -121,7 +121,7 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(snr_db=args.snr_db, inr_db_start=args.inr_start,
                      inr_db_stop=args.inr_stop, inr_db_step=args.step,
                      field=FieldKind(args.field), traces=traces)
-    _note(args, f"sweeping {len(spec.grid())} INR points at "
+    _note(args, f"sweeping {spec.points} INR points at "
                 f"SNR {args.snr_db} dB")
     result = run_sweep(spec)
     files = emit_data_files(result, args.out)

@@ -3,9 +3,12 @@
 Reproduces the reference comparison: the compound upper bound, the
 treat-interference-as-noise rate, the interference-free capacity and the
 prelog reference, all at a fixed SNR over a grid of worst-case INR values
-in dB.  Output files are plain two-column ASCII (one per trace), plus a
-CSV with every trace and a JSON document with full metadata; identical
-invocations produce byte-identical files.
+in dB.  On the scalar channel (unit gain and state variance) every trace
+is a closed form in ``P`` and ``a_max``, so the grid is evaluated point by
+point without building a model; the scalar model is validated once, at
+the grid's largest INR.  Output files are plain two-column ASCII (one per
+trace), plus a CSV with every trace and a JSON document with full
+metadata; identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 from . import __version__
-from .baselines import interference_free_capacity, tin_worst_case
-from .channel import FieldKind, _json_safe, inr_to_amax, validate_model
+from .channel import FieldKind, _json_safe, db_to_power, inr_to_amax, validate_model
 from .errors import BadSpec
 from .rank1 import Rank1Inputs, prelog_reference, rank_one_bound
 
 TRACE_ORDER = ("bound", "bound_eff", "tin", "int_free", "half_if")
 KNOWN_TRACES = ("bound", "tin", "int_free", "half_if")
+# grid-size cap: about 50 us of work per point keeps a sweep under a minute
+MAX_SWEEP_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,7 @@ class SweepSpec:
     inr_db_step: float
     field: FieldKind = FieldKind.REAL
     traces: tuple = ("bound", "tin", "int_free", "half_if")
+    points: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("snr_db", "inr_db_start", "inr_db_stop", "inr_db_step"):
@@ -49,11 +54,14 @@ class SweepSpec:
             raise BadSpec("inr_db_step must be positive")
         if self.inr_db_start > self.inr_db_stop:
             raise BadSpec("inr_db_start must not exceed inr_db_stop")
+        span = (self.inr_db_stop - self.inr_db_start) / self.inr_db_step + 1e-9
+        if not span < MAX_SWEEP_POINTS:
+            raise BadSpec(f"the INR grid would have about {span + 1:.3g} points; "
+                          f"at most {MAX_SWEEP_POINTS} are allowed")
+        object.__setattr__(self, "points", int(math.floor(span)) + 1)
 
     def grid(self) -> list[float]:
-        n = int(math.floor((self.inr_db_stop - self.inr_db_start)
-                           / self.inr_db_step + 1e-9)) + 1
-        return [self.inr_db_start + k * self.inr_db_step for k in range(n)]
+        return [self.inr_db_start + k * self.inr_db_step for k in range(self.points)]
 
 
 @dataclass(frozen=True)
@@ -71,27 +79,39 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     may exceed the interference-free line at low INR); the effective
     min with the interference-free capacity rides along as ``bound_eff``.
     ``half_if`` is the prelog reference.
+
+    Each trace is the scalar case of the general function:
+    int-free is kappa log2(1 + P) (water-filling over one unit gain),
+    TIN is kappa log2(1 + P / (1 + a_max^2)) and the bound is
+    ``rank_one_bound`` with one unit state eigenvalue.  Validation only
+    rejects an overflowing a_max^2, which grows with INR, so checking the
+    model at the grid's largest INR rejects exactly what a check at every
+    point would.
     """
-    P = 10.0 ** (spec.snr_db / 10.0)
+    P = db_to_power(spec.snr_db, "SNR")
     kappa = spec.field.kappa
-    rows = []
+    grid = spec.grid()
+    a_max_top = inr_to_amax(grid[-1], 1.0)
+    validate_model(1, 1, 1, [[1.0]], [[1.0]], a_max_top, P, spec.field)
+    int_free = kappa * math.log2(1.0 + P)
+    half_if = prelog_reference(Rank1Inputs(h_norm_sq_P=P, v=(1.0,),
+                                           a_max=a_max_top, kappa=kappa))
     want = set(spec.traces)
-    for inr_db in spec.grid():
+    rows = []
+    for inr_db in grid:
         a_max = inr_to_amax(inr_db, 1.0)
-        model = validate_model(1, 1, 1, [[1.0]], [[1.0]], a_max, P, spec.field)
         row = {"inr_db": inr_db}
-        int_free = interference_free_capacity(model)
-        inputs = Rank1Inputs(h_norm_sq_P=P, v=(1.0,), a_max=a_max, kappa=kappa)
         if "bound" in want:
-            raw = rank_one_bound(inputs)
+            raw = rank_one_bound(Rank1Inputs(h_norm_sq_P=P, v=(1.0,),
+                                             a_max=a_max, kappa=kappa))
             row["bound"] = raw
             row["bound_eff"] = min(raw, int_free)
         if "tin" in want:
-            row["tin"] = tin_worst_case(model)
+            row["tin"] = kappa * math.log2(1.0 + P / (1.0 + a_max * a_max))
         if "int_free" in want:
             row["int_free"] = int_free
         if "half_if" in want:
-            row["half_if"] = prelog_reference(inputs)
+            row["half_if"] = half_if
         rows.append(row)
     metadata = {
         "tool": "dpbound",
@@ -106,8 +126,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 
 def _fmt(y: float) -> str:
-    if math.isinf(y):
-        return "inf"
     return f"{y:#.6g}"
 
 
@@ -122,29 +140,23 @@ def emit_data_files(result: SweepResult, out_dir) -> list[str]:
         raise BadSpec("empty sweep result; nothing to write")
     os.makedirs(out_dir, exist_ok=True)
     traces = [t for t in TRACE_ORDER if t in result.rows[0]]
+    xs = [f"{row['inr_db']:g}" for row in result.rows]
+    cols = {t: [_fmt(row[t]) for row in result.rows] for t in traces}
     written = []
 
-    for trace in traces:
-        if trace == "bound_eff":
-            continue  # csv/json column only
-        path = os.path.join(out_dir, f"{trace}.data")
+    def write(name: str, text: str) -> None:
+        path = os.path.join(out_dir, name)
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            for row in result.rows:
-                fh.write(f"{row['inr_db']:g} {_fmt(row[trace])}\n")
+            fh.write(text)
         written.append(path)
 
-    csv_path = os.path.join(out_dir, "sweep.csv")
-    with open(csv_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(["inr_db"] + traces) + "\n")
-        for row in result.rows:
-            cells = [f"{row['inr_db']:g}"] + [_fmt(row[t]) for t in traces]
-            fh.write(",".join(cells) + "\n")
-    written.append(csv_path)
-
-    json_path = os.path.join(out_dir, "sweep.json")
+    for trace in traces:
+        if trace != "bound_eff":  # csv/json column only
+            write(f"{trace}.data",
+                  "".join(f"{x} {y}\n" for x, y in zip(xs, cols[trace])))
+    lines = [",".join(["inr_db"] + traces)]
+    lines += map(",".join, zip(xs, *(cols[t] for t in traces)))
+    write("sweep.csv", "\n".join(lines) + "\n")
     doc = _json_safe({"metadata": result.metadata, "rows": result.rows})
-    with open(json_path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    written.append(json_path)
+    write("sweep.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return written

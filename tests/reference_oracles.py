@@ -15,6 +15,9 @@ once used past its partition budget.  ``matrix_tin_worst_case`` builds
 the contiguous family and evaluates every member's treat-interference-as-
 noise log-det through a Cholesky factor of I + N, the matrix computation
 that the library's closed-form ``tin_worst_case`` must reproduce.
+``model_path_sweep`` evaluates an INR sweep point by point through a
+validated model, water-filling and the general ``tin_worst_case``: the
+rows that the library's closed-form scalar sweep must reproduce.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ import math
 import numpy as np
 
 from dpbound.adversary import GroupPartition, build_family, required_group_sizes
-from dpbound.baselines import water_filling
-from dpbound.channel import _hermitize
+from dpbound.baselines import interference_free_capacity, tin_worst_case, water_filling
+from dpbound.channel import _hermitize, inr_to_amax, validate_model
 from dpbound.errors import InfeasiblePsi
 from dpbound.general import objective
 from dpbound.oracle import _grid_objective_scalar
+from dpbound.rank1 import Rank1Inputs, prelog_reference, rank_one_bound
 from dpbound.spectral import logdet_psd, logdet_ratio, signal_subspace, whiten_state
 
 
@@ -248,3 +252,29 @@ def matrix_tin_worst_case(model) -> float:
         rate = kappa * float(logdet_psd(eye + _hermitize(W)))
         best = min(best, rate)
     return best
+
+
+def model_path_sweep(spec) -> tuple:
+    """Rows of ``run_sweep(spec)``, each point through a validated 1x1 model."""
+    P = 10.0 ** (spec.snr_db / 10.0)
+    kappa = spec.field.kappa
+    rows = []
+    want = set(spec.traces)
+    for inr_db in spec.grid():
+        a_max = inr_to_amax(inr_db, 1.0)
+        model = validate_model(1, 1, 1, [[1.0]], [[1.0]], a_max, P, spec.field)
+        row = {"inr_db": inr_db}
+        int_free = interference_free_capacity(model)
+        inputs = Rank1Inputs(h_norm_sq_P=P, v=(1.0,), a_max=a_max, kappa=kappa)
+        if "bound" in want:
+            raw = rank_one_bound(inputs)
+            row["bound"] = raw
+            row["bound_eff"] = min(raw, int_free)
+        if "tin" in want:
+            row["tin"] = tin_worst_case(model)
+        if "int_free" in want:
+            row["int_free"] = int_free
+        if "half_if" in want:
+            row["half_if"] = prelog_reference(inputs)
+        rows.append(row)
+    return tuple(rows)

@@ -130,6 +130,12 @@ def test_inr_to_amax_values():
     assert inr_to_amax(10.0, 4.0) == pytest.approx(math.sqrt(2.5), rel=1e-12)
     with pytest.raises(NonpositiveVariance):
         inr_to_amax(0.0, 0.0)
+    # an overflowing power is rejected; infinite dB is an unbounded cap
+    assert inr_to_amax(3080.0, 1.0) == pytest.approx(1e154, rel=1e-12)
+    with pytest.raises(NonFinite, match="INR of 3090.0 dB overflows a float"):
+        inr_to_amax(3090.0, 1.0)
+    assert inr_to_amax(math.inf, 1.0) == math.inf
+    assert inr_to_amax(-4000.0, 1.0) == inr_to_amax(-math.inf, 1.0) == 0.0
 
 
 @settings(max_examples=200, derandomize=True)

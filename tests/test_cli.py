@@ -321,3 +321,27 @@ def test_sweep_rejects_non_finite_axis(capsys, tmp_path, axis):
     err = rejects(capsys, "--quiet", "sweep", *axis, "--out", str(tmp_path / "x"))
     assert "must be finite" in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "rank1", "--snr-db", "4000", "--inr-db", "10", "--ms", "1"],
+    ["bound", "rank1", "--snr-db", "10", "--inr-db", "4000", "--ms", "1"],
+    ["sweep", "--snr-db", "10", "--inr-start", "0", "--inr-stop", "4000",
+     "--step", "1000"],
+    ["sweep", "--snr-db", "4000", "--inr-start", "0", "--inr-stop", "1",
+     "--step", "1"],
+])
+def test_overflowing_db_rejected(capsys, tmp_path, argv):
+    out = ["--out", str(tmp_path / "x")] if argv[0] == "sweep" else []
+    err = rejects(capsys, "--quiet", *argv, *out)
+    assert "dB overflows a float" in err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("stop,step", [("1e300", "1e-300"), ("1e9", "1e-9")])
+def test_sweep_rejects_unbuildable_grid(capsys, tmp_path, stop, step):
+    err = rejects(capsys, "--quiet", "sweep", "--snr-db", "15",
+                  "--inr-start", "0", "--inr-stop", stop, "--step", step,
+                  "--out", str(tmp_path / "x"))
+    assert "points" in err
+    assert not (tmp_path / "x").exists()

@@ -1,12 +1,17 @@
 import hashlib
+import itertools
 import json
 import math
+import sys
 
 import pytest
 
+import dpbound
 from dpbound import FieldKind, SweepSpec, emit_data_files, run_sweep
-from dpbound.errors import BadSpec
-from dpbound.sweep import SweepResult
+from dpbound.errors import BadSpec, ZeroAmax
+from dpbound.sweep import KNOWN_TRACES, MAX_SWEEP_POINTS, SweepResult, _fmt
+
+from reference_oracles import model_path_sweep
 
 
 def default_spec(**kw):
@@ -17,7 +22,8 @@ def default_spec(**kw):
 
 
 def test_grid_has_51_points():
-    assert len(default_spec().grid()) == 51
+    spec = default_spec()
+    assert spec.points == len(spec.grid()) == 51
 
 
 def test_single_point_grid():
@@ -41,6 +47,22 @@ def test_bad_grid_rejected():
         default_spec(inr_db_step=0.0)
     with pytest.raises(BadSpec):
         default_spec(inr_db_start=50.0)
+
+
+@pytest.mark.parametrize("start,stop,step", [
+    (0.0, 1e300, 1e-300),        # the point count is not finite
+    (0.0, 1e9, 1e-9),            # 10^18 points
+    (-1e308, 1e308, 1.0),        # the span itself overflows
+    (0.0, float(MAX_SWEEP_POINTS), 1.0),
+])
+def test_unbuildable_grid_rejected(start, stop, step):
+    with pytest.raises(BadSpec, match="points"):
+        default_spec(inr_db_start=start, inr_db_stop=stop, inr_db_step=step)
+
+
+def test_grid_at_point_cap_accepted():
+    spec = default_spec(inr_db_start=0.0, inr_db_stop=MAX_SWEEP_POINTS - 1.0)
+    assert spec.points == MAX_SWEEP_POINTS
 
 
 @pytest.mark.parametrize("axis", ["snr_db", "inr_db_start", "inr_db_stop",
@@ -136,3 +158,95 @@ def test_rows_are_finite():
         for key, val in row.items():
             if key != "inr_db":
                 assert math.isfinite(val)
+
+
+def test_fmt_keeps_sign_of_infinity():
+    assert _fmt(-math.inf) == "-inf"
+    assert _fmt(math.inf) == "inf"
+    assert _fmt(math.nan) == "nan"
+    assert _fmt(2.5139038366752597) == "2.51390"
+
+
+def assert_rows_match(got, want):
+    """Same grid and keys; every value within 1e-12 relative plus 1e-15."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        assert g["inr_db"] == w["inr_db"]
+        for key, y in w.items():
+            assert g[key] == y or abs(g[key] - y) <= 1e-12 * abs(y) + 1e-15, \
+                (key, g, w)
+
+
+TRACE_SUBSETS = [subset for n in range(1, len(KNOWN_TRACES) + 1)
+                 for subset in itertools.combinations(KNOWN_TRACES, n)]
+
+
+@pytest.mark.parametrize("field", list(FieldKind))
+@pytest.mark.parametrize("snr_db", [0.0, 0.5, 15.0, 30.0])
+@pytest.mark.parametrize("step", [1.0, 0.1, 0.37])
+def test_closed_form_matches_model_path(tmp_path, field, snr_db, step):
+    spec = default_spec(snr_db=snr_db, inr_db_step=step, field=field)
+    want = model_path_sweep(spec)
+    got = run_sweep(spec)
+    assert_rows_match(got.rows, want)
+
+    # every trace subset gives the matching columns of the full sweep
+    for subset in TRACE_SUBSETS:
+        keys = {"inr_db", *subset} | ({"bound_eff"} if "bound" in subset else set())
+        sub = run_sweep(default_spec(snr_db=snr_db, inr_db_step=step,
+                                     field=field, traces=subset))
+        assert_rows_match(sub.rows, [{k: r[k] for k in keys} for r in want])
+
+    # the plot files come out byte for byte as the oracle's rows give them
+    ours = emit_data_files(got, tmp_path / "closed")
+    theirs = emit_data_files(SweepResult(rows=want, metadata=got.metadata),
+                             tmp_path / "model")
+    for a, b in zip(ours, theirs, strict=True):
+        if not a.endswith(".json"):
+            assert open(a, "rb").read() == open(b, "rb").read(), a
+
+
+@pytest.mark.parametrize("field", list(FieldKind))
+def test_zero_cap_sweep(field):
+    # 10^(-400) underflows: a_max = 0 up to about -3240 dB
+    spec = default_spec(inr_db_start=-4000.0, inr_db_step=10.0, field=field)
+    with pytest.raises(ZeroAmax):
+        run_sweep(spec)
+    with pytest.raises(ZeroAmax):
+        model_path_sweep(spec)
+
+    traces = ("tin", "int_free", "half_if")
+    spec = default_spec(inr_db_start=-4000.0, inr_db_step=10.0, field=field,
+                        traces=traces)
+    rows = run_sweep(spec).rows
+    assert_rows_match(rows, model_path_sweep(spec))
+    assert rows[0]["tin"] == rows[0]["int_free"] > 0.0
+    tin_only = run_sweep(default_spec(inr_db_start=-4000.0, inr_db_step=10.0,
+                                      field=field, traces=("tin",))).rows
+    assert [r["tin"] for r in tin_only] == [r["tin"] for r in rows]
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap ``fn`` at every dpbound binding; the list gets one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "dpbound" or name.startswith("dpbound."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_sweep_does_no_per_point_model_work(monkeypatch):
+    validate = count_calls(monkeypatch, dpbound.channel.validate_model)
+    water = count_calls(monkeypatch, dpbound.baselines.water_filling)
+    tin = count_calls(monkeypatch, dpbound.baselines.tin_worst_case)
+    rows = run_sweep(default_spec(inr_db_step=0.1)).rows
+    assert len(rows) == 501
+    assert (len(validate), len(water), len(tin)) == (1, 0, 0)
