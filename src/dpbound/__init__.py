@@ -22,7 +22,7 @@ from .channel import (
     model_to_json,
     validate_model,
 )
-from .adversary import GroupPartition, build_family, enumerate_partitions
+from .adversary import GroupPartition, build_family, enumerate_partitions, objective
 from .dof import DofScenario, InrScaling, dof_fixed_rank, dof_upper_bound
 from .general import (
     BoundReport,
@@ -30,7 +30,6 @@ from .general import (
     Soundness,
     capacity_upper_bound,
     inner_inf,
-    objective,
     outer_sup,
 )
 from .oracle import (
@@ -49,7 +48,6 @@ from .rank1 import (
 from .spectral import (
     SignalSubspace,
     WhitenedState,
-    logdet_ratio,
     signal_subspace,
     whiten_state,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "interference_free_capacity",
     "load_model",
     "logdet_concavity_check",
-    "logdet_ratio",
     "model_from_json",
     "model_to_json",
     "objective",

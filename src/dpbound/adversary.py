@@ -21,6 +21,9 @@ and the remainder slots theirs in descending order too.  Only the choice
 of the remainder coordinates is free, which leaves C(m_s, rho)
 candidates (``enumerate_partitions``), and the aligned inner minimum
 over them is exact.
+
+:func:`objective` is the witness evaluator: the bound's matrix value on a
+built family, which the search reports because the family is feasible.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import AdversaryFamily, ChannelModel, _freeze
-from .errors import InfeasibleDimensions, PartitionMismatch
-from .spectral import SignalSubspace, WhitenedState
+from .channel import (AdversaryFamily, ChannelModel, InputCovariance, _freeze,
+                      _hermitize)
+from .errors import InfeasibleDimensions, PartitionMismatch, RankZeroSignal
+from .spectral import SignalSubspace, WhitenedState, logdet_psd
 
 
 @dataclass(frozen=True)
@@ -140,3 +144,68 @@ def build_family(model: ChannelModel, sub: SignalSubspace, white: WhitenedState,
                           subspace=sub)
     fam.validate(model)
     return fam
+
+
+def objective(model: ChannelModel, Q_x, fam: AdversaryFamily) -> float:
+    """Evaluate the bound objective for one covariance and family, in bits.
+
+    kappa * [sum over the first N-1 interference groups of
+    log2 det(S + I + T_i) - log2 det(T_i) + log2 det(I + S) + g] / (N + 1)
+
+    with S the signal block and T_i the interference blocks, all in the
+    signal-subspace basis.  The final group's term g divides through by
+    det(T_N) when the group count divides the state dimension evenly and
+    by det(T_N + I/2) plus a 2*M0 offset otherwise.  The members' log-dets
+    take one stacked call (I + S stays apart: it is real beside complex
+    T_i when a real H meets a complex Q_s).  A group term that the
+    singular-matrix rule leaves non-finite, as from a cap whose square
+    underflows, makes the value +inf.  Limit families (unbounded cap) are
+    evaluated analytically: full-rank interference blocks contribute
+    exactly zero.
+    """
+    if isinstance(Q_x, InputCovariance):
+        Q_x = Q_x.Q_x
+    Q_x = np.asarray(Q_x)
+    H = np.asarray(model.H)
+    G = _hermitize(H @ Q_x @ H.conj().T)
+
+    sub = fam.subspace
+    if sub is None or sub.M0 != fam.M0:
+        raise PartitionMismatch("family was not built for this signal subspace")
+    M0 = fam.M0
+    if M0 < 1:
+        raise RankZeroSignal("H Q_x H^dagger is numerically zero")
+    U = np.asarray(sub.U)
+    resid = G - U.conj().T @ (U @ G @ U.conj().T) @ U
+    if float(np.linalg.norm(resid)) > 1e-8 * (1.0 + float(np.linalg.norm(G))):
+        raise PartitionMismatch("family subspace does not span H Q_x H^dagger")
+
+    S = _hermitize(U @ G @ U.conj().T)
+    eye = np.eye(M0)
+    N = len(fam)
+    uneven = model.m_s % M0 != 0
+    kappa = model.field.kappa
+
+    total = logdet_psd(eye + S)
+    if fam.is_limit:
+        # every full-rank limit block cancels exactly
+        if uneven:
+            r = len(fam.group_map[-1])
+            total += logdet_psd((eye + S)[r:, r:]) + (M0 - r) + 2.0 * M0
+        return kappa * total / (N + 1)
+
+    Qs = np.asarray(model.Q_s)
+    T = np.array([_hermitize(U @ (A @ Qs @ A.conj().T) @ U.conj().T)
+                  for A in fam.members])
+    denoms = T.copy()
+    if uneven:
+        denoms[-1] += 0.5 * eye
+    logdets = logdet_psd(np.concatenate([S + eye + T, denoms])).tolist()
+    for i in range(N):
+        term = logdets[i] - logdets[N + i]
+        if uneven and i == N - 1:
+            term += 2.0 * M0
+        if not math.isfinite(term):
+            return math.inf
+        total += term
+    return kappa * total / (N + 1)

@@ -60,7 +60,8 @@ def _as_matrix(M, name: str) -> np.ndarray:
 
 
 def _hermitize(M: np.ndarray) -> np.ndarray:
-    return (M + M.conj().T) / 2.0
+    """The Hermitian part of a matrix, or of each matrix in a stack."""
+    return (M + np.swapaxes(M, -1, -2).conj()) / 2.0
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

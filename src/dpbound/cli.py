@@ -18,7 +18,7 @@ import numpy as np
 from .baselines import interference_free_capacity, tin_worst_case
 from .channel import FieldKind, _json_safe, db_to_power, inr_to_amax, load_model
 from .dof import DofScenario, InrScaling, dof_upper_bound
-from .errors import DirtyPaperError
+from .errors import DirtyPaperError, TooLarge
 from .general import SearchConfig, capacity_upper_bound
 from .oracle import concavity_trials, concavity_verdicts, run_equivalence_suite
 from .rank1 import Rank1Inputs, prelog_gap_certificate, prelog_reference, rank_one_bound
@@ -35,7 +35,14 @@ def _note(args, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
+# largest --ms of ``bound rank1``, which holds one state eigenvalue per
+# dimension and sums one term per dimension
+MAX_RANK1_STATE_DIM = 10 ** 6
+
+
 def _cmd_bound_rank1(args) -> int:
+    if args.ms > MAX_RANK1_STATE_DIM:
+        raise TooLarge(f"--ms {args.ms} exceeds {MAX_RANK1_STATE_DIM}")
     P = db_to_power(args.snr_db, "SNR")
     field = FieldKind(args.field)
     a_max = inr_to_amax(args.inr_db, 1.0)
@@ -59,16 +66,17 @@ def _cmd_bound_rank1(args) -> int:
     return 0
 
 
-def _parse_ranks(text: str) -> tuple:
+def _parse_ranks(text: str) -> tuple | range:
     """Parse ``bound general --ranks``: a range ``a..b`` or a list ``a,b,...``.
 
     Rejects empty ranges, empty list items and non-integers; whether each
-    rank fits the model is checked once the model is loaded.
+    rank fits the model is checked once the model is loaded.  A range stays
+    a ``range``, so its size costs no memory.
     """
     lo, sep, hi = text.partition("..")
     try:
         if sep:
-            ranks = tuple(range(int(lo), int(hi) + 1))
+            ranks = range(int(lo), int(hi) + 1)
         else:
             ranks = tuple(int(x) for x in text.split(","))
     except ValueError:

@@ -61,10 +61,6 @@ class ZeroAmax(DirtyPaperError):
     """The closed-form rank-one bound needs a positive amplification cap."""
 
 
-class BothSingular(DirtyPaperError):
-    """0/0 log-determinant ratio; the caller must decide what it means."""
-
-
 class InfeasiblePsi(DirtyPaperError):
     """The perturbation breaks positive semidefiniteness of M +/- Psi."""
 
@@ -74,7 +70,7 @@ class NotRankOne(DirtyPaperError):
 
 
 class TooLarge(DirtyPaperError):
-    """Instance exceeds the brute-force cost guard."""
+    """Instance exceeds a cost guard (brute-force grids, DOF or rank-one sizes)."""
 
 
 class BadSpec(DirtyPaperError):

@@ -1,10 +1,14 @@
-"""Max-min evaluation of the general capacity upper bound.
+"""Max-min search for the general capacity upper bound.
 
 For a fixed input covariance the bound averages log-det terms over an
-adversary family; the inner minimization is exact over the aligned
-families (the candidate partitions of ``adversary.enumerate_partitions``
-contain a minimiser), and since every aligned family is feasible it is a
-sound surrogate for the true infimum.  The outer maximization over input
+adversary family.  This module holds the search and its one kernel,
+``_fast_value``, the aligned objective in diagonal scalar arithmetic.
+The inner minimization ranks the candidate partitions of
+``adversary.enumerate_partitions`` (which contain a minimiser) by that
+kernel, so it is exact over the aligned families; the reported value is
+the witness evaluator ``adversary.objective`` on the family built for
+the winner, and since every aligned family is feasible it is a sound
+surrogate for the true infimum.  The outer maximization over input
 covariances runs per fixed signal rank via a factor parameterization,
 sidestepping the rank discontinuity of the objective, and is labeled
 honestly: closed-form rank-one paths are exact, multistart ascent is a
@@ -22,13 +26,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .adversary import GroupPartition, build_family, enumerate_partitions
-from .baselines import interference_free_capacity, water_filling
-from .channel import (RANK_TOL, AdversaryFamily, ChannelModel, InputCovariance,
-                      _hermitize, _json_safe, _matrix_to_json)
-from .errors import NegativeParameter, PartitionMismatch, RankZeroSignal
+from .adversary import GroupPartition, build_family, enumerate_partitions, objective
+from .baselines import water_filling
+from .channel import (RANK_TOL, AdversaryFamily, ChannelModel, _hermitize,
+                      _json_safe, _matrix_to_json)
+from .errors import NegativeParameter, RankZeroSignal
 from .rank1 import rank1_inputs_from_model, rank_one_bound
-from .spectral import logdet_psd, logdet_ratio, signal_subspace, whiten_state
+from .spectral import signal_subspace, whiten_state
 
 
 class Soundness(enum.Enum):
@@ -47,7 +51,7 @@ class SearchConfig:
 
     restarts: int = 16
     max_iters: int = 500
-    ranks: tuple | None = None     # subset of signal ranks to try; None = all
+    ranks: tuple | range | None = None     # signal ranks to try; None = all
 
 
 @dataclass(frozen=True)
@@ -76,64 +80,6 @@ class BoundReport:
             "soundness": self.soundness.value,
             "diagnostics": self.diagnostics,
         })
-
-
-def objective(model: ChannelModel, Q_x, fam: AdversaryFamily) -> float:
-    """Evaluate the bound objective for one covariance and family, in bits.
-
-    kappa * [sum over the first N-1 interference groups of
-    log2 det(S + I + T_i) - log2 det(T_i) + log2 det(I + S) + g] / (N + 1)
-
-    with S the signal block and T_i the interference blocks, all in the
-    signal-subspace basis.  The final group's term g divides through by
-    det(T_N) when the group count divides the state dimension evenly and
-    by det(T_N + I/2) plus a 2*M0 offset otherwise.  Limit families
-    (unbounded cap) are evaluated analytically: full-rank interference
-    blocks contribute exactly zero.
-    """
-    if isinstance(Q_x, InputCovariance):
-        Q_x = Q_x.Q_x
-    Q_x = np.asarray(Q_x)
-    H = np.asarray(model.H)
-    G = _hermitize(H @ Q_x @ H.conj().T)
-
-    sub = fam.subspace
-    if sub is None or sub.M0 != fam.M0:
-        raise PartitionMismatch("family was not built for this signal subspace")
-    M0 = fam.M0
-    if M0 < 1:
-        raise RankZeroSignal("H Q_x H^dagger is numerically zero")
-    U = np.asarray(sub.U)
-    resid = G - U.conj().T @ (U @ G @ U.conj().T) @ U
-    if float(np.linalg.norm(resid)) > 1e-8 * (1.0 + float(np.linalg.norm(G))):
-        raise PartitionMismatch("family subspace does not span H Q_x H^dagger")
-
-    S = _hermitize(U @ G @ U.conj().T)
-    eye = np.eye(M0)
-    N = len(fam)
-    divisible = (model.m_s % M0 == 0)
-    kappa = model.field.kappa
-
-    total = logdet_psd(eye + S)
-    if fam.is_limit:
-        # every full-rank limit block cancels exactly
-        if not divisible:
-            r = len(fam.group_map[-1])
-            tail = (eye + S)[r:, r:]
-            total += logdet_psd(tail) + (M0 - r) + 2.0 * M0
-    else:
-        Qs = np.asarray(model.Q_s)
-        for i, A in enumerate(fam.members):
-            T = _hermitize(U @ (A @ Qs @ A.conj().T) @ U.conj().T)
-            last = i == N - 1
-            if last and not divisible:
-                term = logdet_ratio(S + eye + T, T + 0.5 * eye) + 2.0 * M0
-            else:
-                term = logdet_ratio(S + eye + T, T)
-            if math.isinf(term):
-                return math.inf
-            total += term
-    return kappa * total / (N + 1)
 
 
 def _fast_value(lam, v, a_max: float, m_s: int, part: GroupPartition,
@@ -211,8 +157,7 @@ def _best_partition(parts, lam, v, a_max: float, m_s: int,
     return best_part, best_val
 
 
-def inner_inf(model: ChannelModel, Q_x, *,
-              white=None) -> tuple[AdversaryFamily, float]:
+def inner_inf(model: ChannelModel, Q_x) -> tuple[AdversaryFamily, float]:
     """Minimize the objective over aligned families at the full cap.
 
     The scalar kernel picks the best candidate partition, which attains the
@@ -224,13 +169,10 @@ def inner_inf(model: ChannelModel, Q_x, *,
     sentinel +inf is returned and callers fall back to the
     interference-free capacity.
     """
-    if isinstance(Q_x, InputCovariance):
-        Q_x = Q_x.Q_x
     sub = signal_subspace(model.H, Q_x)
     if sub.M0 == 0:
         raise RankZeroSignal("H Q_x H^dagger is numerically zero")
-    if white is None:
-        white = whiten_state(model.Q_s)
+    white = whiten_state(model.Q_s)
     parts = enumerate_partitions(model.m_s, sub.M0)
     if model.a_max == 0.0:
         return build_family(model, sub, white, parts[0]), math.inf
@@ -332,7 +274,7 @@ def outer_sup(model: ChannelModel, M0_target: int,
     if not 1 <= M0_target <= m_star:
         raise NegativeParameter(
             f"M0_target must lie in [1, {m_star}], got {M0_target}")
-    if_cap = interference_free_capacity(model)
+    if_cap, Q_wf = water_filling(model)
 
     if m_star == 1:
         return _rank_one_report(model, if_cap)
@@ -358,7 +300,6 @@ def outer_sup(model: ChannelModel, M0_target: int,
     _, _, Vh = np.linalg.svd(H)
     F_svd = Vh.conj().T[:, :M0_target].astype(dtype) * math.sqrt(P / M0_target)
     seeds.append(F_svd)
-    _, Q_wf = water_filling(model)
     w, V = np.linalg.eigh(Q_wf)
     active = w > 1e-12 * max(float(w[-1]), 1e-300)
     if int(np.count_nonzero(active)) == M0_target:
@@ -423,14 +364,13 @@ def capacity_upper_bound(model: ChannelModel,
     """Best bound over all requested signal ranks, capped by the
     interference-free capacity.
 
-    ``search.ranks`` of None tries every rank; an empty tuple is rejected.
+    ``search.ranks`` of None tries every rank; an empty sequence is
+    rejected.  The ranks are checked in order without being copied, so a
+    long ``range`` fails at its first rank past min(m_t, m_r).
     """
     search = search or SearchConfig()
     m_star = min(model.m_t, model.m_r)
-    if search.ranks is None:
-        targets = tuple(range(1, m_star + 1))
-    else:
-        targets = tuple(search.ranks)
+    targets = range(1, m_star + 1) if search.ranks is None else search.ranks
     if not targets:
         raise NegativeParameter("no signal rank to try: ranks is empty")
     for t in targets:

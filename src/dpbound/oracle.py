@@ -13,11 +13,11 @@ import math
 
 import numpy as np
 
-from .channel import RANK_TOL, ChannelModel, InputCovariance, _hermitize, validate_model
+from .channel import ChannelModel, InputCovariance, _hermitize, validate_model
 from .errors import InfeasiblePsi, NotRankOne, TooLarge
 from .general import inner_inf
 from .rank1 import rank1_inputs_from_model, rank_one_bound
-from .spectral import signal_subspace, whiten_state
+from .spectral import logdet_eigvals, signal_subspace, whiten_state
 
 SEED_LADDER = tuple(range(10))
 
@@ -198,7 +198,7 @@ def concavity_trials(seeds, per_seed: int):
         Psi = (C + _transpose(C)) / 2.0
         L = np.linalg.cholesky(M)
         W = _transpose(np.linalg.solve(L, _transpose(np.linalg.solve(L, Psi))))
-        w = np.linalg.eigvalsh(_hermitize_stack(W))
+        w = np.linalg.eigvalsh(_hermitize(W))
         t_max = 1.0 / np.maximum(np.max(np.abs(w), axis=-1), 1e-12)
         scale = 0.95 * t_max * np.array(scales)
         yield np.array(positions), M, Psi * scale[:, None, None]
@@ -223,16 +223,16 @@ def concavity_verdicts(M, Psi, tol: float = 1e-9) -> np.ndarray:
     fails, which says nothing about the inequality).
     """
     M = np.asarray(M)
-    M = _hermitize_stack(M if np.iscomplexobj(M) else M.astype(float))
-    Psi = _hermitize_stack(np.asarray(Psi, dtype=M.dtype))
+    M = _hermitize(M if np.iscomplexobj(M) else M.astype(float))
+    Psi = _hermitize(np.asarray(Psi, dtype=M.dtype))
     scale = np.maximum(np.linalg.norm(M, axis=(-2, -1)), 1e-300)
     w_plus = np.linalg.eigvalsh(M + Psi)
     w_minus = np.linalg.eigvalsh(M - Psi)
     for sign, w in (("+", w_plus), ("-", w_minus)):
         if np.any(w[:, 0] < -1e-10 * scale):
             raise InfeasiblePsi(f"M {sign} Psi is not PSD")
-    lhs = _logdet_rows(w_plus) + _logdet_rows(w_minus)
-    rhs = 2.0 * _logdet_rows(np.linalg.eigvalsh(M))
+    lhs = logdet_eigvals(w_plus) + logdet_eigvals(w_minus)
+    rhs = 2.0 * logdet_eigvals(np.linalg.eigvalsh(M))
     return (lhs == -math.inf) | (lhs <= rhs + tol)
 
 
@@ -250,29 +250,13 @@ def _transpose(stack: np.ndarray) -> np.ndarray:
     return np.swapaxes(stack, -1, -2)
 
 
-def _hermitize_stack(stack: np.ndarray) -> np.ndarray:
-    """``channel._hermitize`` over the last two axes, for stacks of matrices."""
-    return (stack + _transpose(stack).conj()) / 2.0
-
-
-def _logdet_rows(w: np.ndarray) -> np.ndarray:
-    """log2 det per row of ascending eigenvalues, by ``spectral.logdet_psd``'s rule.
-
-    A row is singular (-inf) unless every eigenvalue exceeds ``RANK_TOL``
-    times the row's largest.
-    """
-    nonsingular = np.all(w > RANK_TOL * w[:, -1:], axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logdets = np.sum(np.log2(w), axis=-1)
-    return np.where(nonsingular, logdets, -math.inf)
-
-
 def cross_check_rank1(model: ChannelModel) -> dict:
     """Compare the general evaluator against the rank-one closed form.
 
     Builds the beamforming covariance, runs the matrix-product objective
     through the aligned inner minimization, and reports both values plus
-    their absolute difference.
+    their absolute difference (zero when both are +inf, as for a cap whose
+    square underflows).
     """
     if model.m_t != 1 and model.m_r != 1:
         raise NotRankOne("cross-check needs m_t = 1 or m_r = 1")
@@ -288,7 +272,7 @@ def cross_check_rank1(model: ChannelModel) -> dict:
     _, general = inner_inf(model, Q_x)
     closed = rank_one_bound(rank1_inputs_from_model(model))
     return {"general": general, "closed_form": closed,
-            "delta": abs(general - closed)}
+            "delta": 0.0 if general == closed else abs(general - closed)}
 
 
 def fixed_equivalence_suite() -> list[dict]:

@@ -51,7 +51,8 @@ def rank_one_bound(inputs: Rank1Inputs) -> float:
 
     With an unbounded cap each sum term vanishes, leaving the pure prelog
     value.  A zero cap is rejected; the caller should use the
-    interference-free capacity instead.
+    interference-free capacity instead.  A positive cap whose interference
+    power a^2 v_i underflows to zero makes its term, and the bound, +inf.
     """
     if inputs.a_max == 0.0:
         raise ZeroAmax("rank-one bound needs a_max > 0")
@@ -62,6 +63,8 @@ def rank_one_bound(inputs: Rank1Inputs) -> float:
         a2 = inputs.a_max ** 2
         for vi in inputs.v:
             t = a2 * vi
+            if t == 0.0:
+                return math.inf
             total += math.log2((hp + 1.0 + t) / t)
     return inputs.kappa * total / (m_s + 1)
 
@@ -79,15 +82,17 @@ def prelog_gap_certificate(inputs: Rank1Inputs) -> dict:
     ``v_i >= (1 + |h|^2 P) / a_max^2`` each sum term of the bound is at
     most one bit, so the gap lies in [0, kappa * m_s / (m_s + 1)].
     Returns ``{"applies": bool, "gap_bound": float}``; the guarantee is
-    only made when ``applies`` is true.
+    only made when ``applies`` is true, never for a zero cap or one whose
+    square underflows.
     """
     if math.isinf(inputs.a_max):
         raise ZeroAmax("gap certificate requires a finite a_max")
     m_s = len(inputs.v)
     gap_bound = inputs.kappa * m_s / (m_s + 1)
-    if inputs.a_max == 0.0:
+    a2 = inputs.a_max ** 2
+    if a2 == 0.0:
         return {"applies": False, "gap_bound": gap_bound}
-    threshold = (1.0 + inputs.h_norm_sq_P) / inputs.a_max ** 2
+    threshold = (1.0 + inputs.h_norm_sq_P) / a2
     return {"applies": bool(min(inputs.v) >= threshold), "gap_bound": gap_bound}
 
 

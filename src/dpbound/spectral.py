@@ -1,9 +1,10 @@
 """Numerically careful spectral primitives.
 
 Rank detection, signal-subspace extraction, state whitening and base-2
-log-determinant ratios.  Everything here is a pure function over small
-dense matrices (dimensions of order ten), so eigendecompositions are the
-factorization of choice; raw determinants are never formed.
+log-determinants.  Everything here is a pure function over small dense
+matrices (dimensions of order ten), so eigendecompositions are the
+factorization of choice; raw determinants are never formed.  The one
+rule for when a log-det is -inf is :func:`logdet_eigvals`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import RANK_TOL, InputCovariance, _freeze, _hermitize
-from .errors import BothSingular, NotSquare, QsRankDeficient
+from .errors import NotSquare, QsRankDeficient
 
 
 @dataclass(frozen=True)
@@ -70,41 +71,29 @@ def whiten_state(Q_s) -> WhitenedState:
     return WhitenedState(eigvecs=_freeze(E), eigvals=_freeze(w.copy()))
 
 
-def _logdet2(M) -> tuple[float, bool]:
-    """(log2 det M, singular flag) for a PSD matrix, via eigenvalues."""
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] == 0:
-        return 0.0, False
-    w = np.linalg.eigvalsh(_hermitize(M))
-    top = float(w[-1])
-    if top <= 0.0:
-        return -math.inf, True
-    keep = w > RANK_TOL * top
-    if not bool(keep.all()):
-        return -math.inf, True
-    return float(np.sum(np.log2(w))), False
+def logdet_eigvals(w) -> np.ndarray:
+    """log2 det per row of ascending eigenvalues (the last axis of ``w``).
 
-
-def logdet_psd(M) -> float:
-    """log2 det(M) for a PSD matrix; -inf when numerically singular."""
-    return _logdet2(M)[0]
-
-
-def logdet_ratio(numer, denom) -> float:
-    """log2 det(numer) - log2 det(denom) for PSD matrices.
-
-    Singularity is decided relative to each matrix's own top eigenvalue.
-    A singular denominator with a nonsingular numerator yields +inf; the
-    0/0 case raises :class:`BothSingular` rather than guessing.
+    The one singular-matrix rule: a row's log-det is -inf unless every
+    eigenvalue exceeds ``RANK_TOL`` times the row's largest.
     """
-    ld_n, sing_n = _logdet2(numer)
-    ld_d, sing_d = _logdet2(denom)
-    if sing_n and sing_d:
-        raise BothSingular("both matrices in the log-det ratio are singular")
-    if sing_d:
-        return math.inf
-    if sing_n:
-        return -math.inf
-    return ld_n - ld_d
+    w = np.asarray(w)
+    nonsingular = np.all(w > RANK_TOL * w[..., -1:], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logdets = np.sum(np.log2(w), axis=-1)
+    return np.where(nonsingular, logdets, -math.inf)
+
+
+def logdet_psd(M):
+    """log2 det over the last two axes of a PSD matrix or stack of them.
+
+    Numerically singular matrices give -inf (see :func:`logdet_eigvals`).
+    A single matrix gives a float, and 0x0 gives 0.0; a stack of shape
+    (..., n, n) gives an array of shape (...).  Raises :class:`NotSquare`
+    when the last two axes are missing or unequal.
+    """
+    M = np.asarray(M)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise NotSquare(f"expected a square matrix, got shape {M.shape}")
+    logdets = logdet_eigvals(np.linalg.eigvalsh(_hermitize(M)))
+    return float(logdets) if M.ndim == 2 else logdets

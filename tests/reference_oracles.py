@@ -18,6 +18,12 @@ that the library's closed-form ``tin_worst_case`` must reproduce.
 ``model_path_sweep`` evaluates an INR sweep point by point through a
 validated model, water-filling and the general ``tin_worst_case``: the
 rows that the library's closed-form scalar sweep must reproduce.
+``single_logdet_psd`` and ``logdet_ratio`` take one log-det per
+``eigvalsh`` call, each with its own copy of the singular-matrix rule,
+and ``matrix_objective`` evaluates a family with them, one ratio per
+member: the library's stacked ``logdet_psd`` and witness evaluator
+``objective`` must reproduce them bit for bit.  ``loop_dof_upper_bound``
+evaluates the dimension-counting DOF cap at every signal rank.
 """
 
 from __future__ import annotations
@@ -29,12 +35,15 @@ import numpy as np
 
 from dpbound.adversary import GroupPartition, build_family, required_group_sizes
 from dpbound.baselines import interference_free_capacity, tin_worst_case, water_filling
-from dpbound.channel import _hermitize, inr_to_amax, validate_model
-from dpbound.errors import InfeasiblePsi
-from dpbound.general import objective
+from dpbound.adversary import objective
+from dpbound.channel import (RANK_TOL, AdversaryFamily, ChannelModel, InputCovariance,
+                             _hermitize, inr_to_amax, validate_model)
+from dpbound.dof import dof_fixed_rank
+from dpbound.errors import (DirtyPaperError, InfeasiblePsi, NotSquare, PartitionMismatch,
+                            RankZeroSignal)
 from dpbound.oracle import _grid_objective_scalar
 from dpbound.rank1 import Rank1Inputs, prelog_reference, rank_one_bound
-from dpbound.spectral import logdet_psd, logdet_ratio, signal_subspace, whiten_state
+from dpbound.spectral import signal_subspace, whiten_state
 
 
 def dense_brute_force_inner_inf(model, Q_x, grid_resolution: int) -> float:
@@ -122,8 +131,8 @@ def scalar_concavity_check(M, Psi, tol: float = 1e-9) -> bool:
         w = np.linalg.eigvalsh(M + sign * Psi)
         if float(w[0]) < -1e-10 * scale:
             raise InfeasiblePsi(f"M {'+' if sign > 0 else '-'} Psi is not PSD")
-    lhs = logdet_psd(M + Psi) + logdet_psd(M - Psi)
-    rhs = 2.0 * logdet_psd(M)
+    lhs = single_logdet_psd(M + Psi) + single_logdet_psd(M - Psi)
+    rhs = 2.0 * single_logdet_psd(M)
     if math.isinf(lhs) and lhs < 0:
         return True
     return lhs <= rhs + tol
@@ -249,7 +258,7 @@ def matrix_tin_worst_case(model) -> float:
         # when the interference covariance is enormously ill-conditioned
         L = np.linalg.cholesky(eye + Nmat)
         W = np.linalg.solve(L, np.linalg.solve(L, G).conj().T).conj().T
-        rate = kappa * float(logdet_psd(eye + _hermitize(W)))
+        rate = kappa * float(single_logdet_psd(eye + _hermitize(W)))
         best = min(best, rate)
     return best
 
@@ -278,3 +287,110 @@ def model_path_sweep(spec) -> tuple:
             row["half_if"] = prelog_reference(inputs)
         rows.append(row)
     return tuple(rows)
+
+
+class BothSingular(DirtyPaperError):
+    """0/0 log-determinant ratio; the caller must decide what it means."""
+
+
+def _logdet2(M) -> tuple[float, bool]:
+    """(log2 det M, singular flag) for a PSD matrix, via eigenvalues."""
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NotSquare(f"expected a square matrix, got shape {M.shape}")
+    if M.shape[0] == 0:
+        return 0.0, False
+    w = np.linalg.eigvalsh(_hermitize(M))
+    top = float(w[-1])
+    if top <= 0.0:
+        return -math.inf, True
+    keep = w > RANK_TOL * top
+    if not bool(keep.all()):
+        return -math.inf, True
+    return float(np.sum(np.log2(w))), False
+
+
+def single_logdet_psd(M) -> float:
+    """log2 det(M) for a PSD matrix; -inf when numerically singular."""
+    return _logdet2(M)[0]
+
+
+def logdet_ratio(numer, denom) -> float:
+    """log2 det(numer) - log2 det(denom) for PSD matrices.
+
+    Singularity is decided relative to each matrix's own top eigenvalue.
+    A singular denominator with a nonsingular numerator yields +inf; the
+    0/0 case raises :class:`BothSingular` rather than guessing.
+    """
+    ld_n, sing_n = _logdet2(numer)
+    ld_d, sing_d = _logdet2(denom)
+    if sing_n and sing_d:
+        raise BothSingular("both matrices in the log-det ratio are singular")
+    if sing_d:
+        return math.inf
+    if sing_n:
+        return -math.inf
+    return ld_n - ld_d
+
+
+def matrix_objective(model: ChannelModel, Q_x, fam: AdversaryFamily) -> float:
+    """Evaluate the bound objective for one covariance and family, in bits.
+
+    kappa * [sum over the first N-1 interference groups of
+    log2 det(S + I + T_i) - log2 det(T_i) + log2 det(I + S) + g] / (N + 1)
+
+    with S the signal block and T_i the interference blocks, all in the
+    signal-subspace basis.  The final group's term g divides through by
+    det(T_N) when the group count divides the state dimension evenly and
+    by det(T_N + I/2) plus a 2*M0 offset otherwise.  Limit families
+    (unbounded cap) are evaluated analytically: full-rank interference
+    blocks contribute exactly zero.
+    """
+    if isinstance(Q_x, InputCovariance):
+        Q_x = Q_x.Q_x
+    Q_x = np.asarray(Q_x)
+    H = np.asarray(model.H)
+    G = _hermitize(H @ Q_x @ H.conj().T)
+
+    sub = fam.subspace
+    if sub is None or sub.M0 != fam.M0:
+        raise PartitionMismatch("family was not built for this signal subspace")
+    M0 = fam.M0
+    if M0 < 1:
+        raise RankZeroSignal("H Q_x H^dagger is numerically zero")
+    U = np.asarray(sub.U)
+    resid = G - U.conj().T @ (U @ G @ U.conj().T) @ U
+    if float(np.linalg.norm(resid)) > 1e-8 * (1.0 + float(np.linalg.norm(G))):
+        raise PartitionMismatch("family subspace does not span H Q_x H^dagger")
+
+    S = _hermitize(U @ G @ U.conj().T)
+    eye = np.eye(M0)
+    N = len(fam)
+    divisible = (model.m_s % M0 == 0)
+    kappa = model.field.kappa
+
+    total = single_logdet_psd(eye + S)
+    if fam.is_limit:
+        # every full-rank limit block cancels exactly
+        if not divisible:
+            r = len(fam.group_map[-1])
+            tail = (eye + S)[r:, r:]
+            total += single_logdet_psd(tail) + (M0 - r) + 2.0 * M0
+    else:
+        Qs = np.asarray(model.Q_s)
+        for i, A in enumerate(fam.members):
+            T = _hermitize(U @ (A @ Qs @ A.conj().T) @ U.conj().T)
+            last = i == N - 1
+            if last and not divisible:
+                term = logdet_ratio(S + eye + T, T + 0.5 * eye) + 2.0 * M0
+            else:
+                term = logdet_ratio(S + eye + T, T)
+            if math.isinf(term):
+                return math.inf
+            total += term
+    return kappa * total / (N + 1)
+
+
+def loop_dof_upper_bound(m_star: int, m_s: int) -> float:
+    """The dimension-counting DOF cap, maximised over every rank 1..m_star."""
+    return max(dof_fixed_rank(m0, m_s) for m0 in range(1, m_star + 1))

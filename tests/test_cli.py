@@ -192,6 +192,33 @@ def test_bound_general_rejects_bad_ranks(capsys, tmp_path, ranks):
     assert doc is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["--quiet", "bound", "general", "--ranks", "1..1000000000000000"],
+    ["bound", "rank1", "--snr-db", "10", "--inr-db", "10",
+     "--ms", "1000000000000000"],
+    ["dof", "--mt", "1", "--mr", "1", "--ms", "10000000000000",
+     "--amax-finite", "false", "--inr-scaling", "linear"],
+])
+def test_huge_integer_arguments_rejected_without_allocation(
+        capsys, tmp_path, argv):
+    # each once built a tuple as long as its argument (a MemoryError, exit 2)
+    # or looped that many times; now each exits 1 before any of that
+    m = validate_model(2, 2, 2, np.eye(2), np.eye(2), 10.0, 10.0)
+    path = tmp_path / "mimo.json"
+    path.write_text(json.dumps(model_to_json(m)))
+    if "general" in argv:
+        argv = argv + ["--model", str(path)]
+    err = rejects(capsys, *argv)
+    assert "MemoryError" not in err
+
+
+def test_bound_rank1_largest_state_dimension(capsys):
+    code, doc = run_cli(capsys, "bound", "rank1", "--snr-db", "10",
+                        "--inr-db", "10", "--ms", "1000000")
+    assert code == 0
+    assert 0.0 < doc["value_bits"] <= doc["int_free_bits"]
+
+
 def test_seed_environment_is_ignored(capsys, monkeypatch):
     monkeypatch.setenv("DPB_SEED", "abc")
     code, doc = run_cli(capsys, "dof", "--mt", "1", "--mr", "1", "--ms", "1",
@@ -302,6 +329,19 @@ def test_bound_general_infinite_raw_value_is_strict_json(capsys, tmp_path):
     assert code == 0
     assert doc["raw_value_bits"] == "inf"
     assert doc["diagnostics"]["per_rank_raw"] == {"1": "inf", "2": "inf"}
+
+
+def test_bound_general_underflowing_cap_closed_form(capsys, tmp_path):
+    # 1x1 model, a_max^2 underflows: the closed form gives +inf, not a crash
+    m = validate_model(1, 1, 1, [[1.0]], [[1.0]], 1e-170, 10.0)
+    path = tmp_path / "tiny_cap.json"
+    path.write_text(json.dumps(model_to_json(m)))
+    code, doc = run_cli(capsys, "--quiet", "bound", "general",
+                        "--model", str(path))
+    assert code == 0
+    assert doc["raw_value_bits"] == "inf"
+    _, base = run_cli(capsys, "baseline", "int-free", "--model", str(path))
+    assert doc["value_bits"] == base["int_free_bits"]
 
 
 def test_emit_refuses_non_finite_before_writing(capsys):

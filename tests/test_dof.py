@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dpbound import DofScenario, InrScaling, dof_fixed_rank, dof_upper_bound
-from dpbound.errors import NegativeParameter
+from dpbound.dof import MAX_DOF_STATE_DIM
+from dpbound.errors import NegativeParameter, TooLarge
+
+from reference_oracles import loop_dof_upper_bound
 
 
 def test_table():
@@ -48,3 +56,38 @@ def test_bad_dimensions():
         DofScenario(0, 1, 1, True, InrScaling.LINEAR)
     with pytest.raises(NegativeParameter):
         dof_fixed_rank(0, 1)
+
+
+def test_pruned_max_matches_loop_over_every_rank():
+    for m_star in range(1, 120):
+        for m_s in range(1, 120):
+            s = DofScenario(m_star, m_star + 1, m_s, True, InrScaling.LINEAR)
+            assert dof_upper_bound(s) == loop_dof_upper_bound(m_star, m_s)
+
+
+@pytest.mark.parametrize("m_star, m_s", [
+    (7, MAX_DOF_STATE_DIM), (1500, 10 ** 12), (562341, 10 ** 12),
+    (927674, 859836568376)])
+def test_pruned_max_matches_loop_at_large_state_dimension(m_star, m_s):
+    # the last two took the most pruned steps among the dimensions tried
+    s = DofScenario(m_star, m_star, m_s, False, InrScaling.SUPERLINEAR)
+    assert dof_upper_bound(s) == loop_dof_upper_bound(m_star, m_s)
+
+
+def test_huge_ranks_return_promptly():
+    # the old loop over every signal rank ran 10^12 steps on this command
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dpbound.cli", "dof", "--mt", "1000000000000",
+         "--mr", "1000000000000", "--ms", "1", "--amax-finite", "false",
+         "--inr-scaling", "linear"],
+        capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == '{\n  "dof": 999999999999.5\n}'
+
+
+def test_state_dimension_limit():
+    DofScenario(1, 1, MAX_DOF_STATE_DIM, False, InrScaling.LINEAR)
+    with pytest.raises(TooLarge):
+        DofScenario(1, 1, MAX_DOF_STATE_DIM + 1, False, InrScaling.LINEAR)

@@ -30,9 +30,11 @@ from dpbound.general import _AscentProblem, _fast_value
 
 from conftest import WITNESS_RANK_MODEL, rand_model, rand_psd
 from reference_oracles import (
+    BothSingular,
     contiguous_fallback,
     exhaustive_inner_inf,
     exhaustive_partitions,
+    matrix_objective,
     numpy_fast_value,
 )
 
@@ -96,6 +98,66 @@ def test_objective_rejects_foreign_family():
                        GroupPartition(groups=((0,),)))
     with pytest.raises(PartitionMismatch):
         objective(m, np.diag([0.0, 4.0]), fam)
+
+
+def _witness_cases(rng):
+    """Seeded (model, Q_x, family) triples over every partition shape.
+
+    Real and complex fields (complex Q_s with a real H too), uneven last
+    groups, drawn, unbounded and underflowing caps, and partitions drawn
+    from every filling of the group shape, not only the candidates.
+    """
+    for i in range(600):
+        m = rand_model(rng, max_ms=5)
+        if i % 5 == 3:
+            m = validate_model(m.m_t, m.m_r, m.m_s, np.real(m.H), m.Q_s,
+                               m.a_max, m.P, "complex")
+        cap = {0: math.inf, 1: 1e-170}.get(i % 7, m.a_max)
+        m = validate_model(m.m_t, m.m_r, m.m_s, m.H, m.Q_s, cap, m.P, m.field)
+        k = int(rng.integers(1, m.m_t + 1))
+        F = rng.standard_normal((m.m_t, k))
+        if np.iscomplexobj(m.H):
+            F = F + 1j * rng.standard_normal((m.m_t, k))
+        Q_x = F @ F.conj().T
+        sub = signal_subspace(m.H, Q_x)
+        if sub.M0 == 0:
+            continue
+        parts = exhaustive_partitions(m.m_s, sub.M0)
+        part = parts[int(rng.integers(len(parts)))]
+        yield m, Q_x, build_family(m, sub, whiten_state(m.Q_s), part)
+
+
+def test_witness_evaluator_matches_matrix_oracle_bitwise():
+    rng = np.random.default_rng(20130518)
+    seen = {"complex": 0, "uneven": 0, "limit": 0, "inf": 0, "finite": 0}
+    for m, Q_x, fam in _witness_cases(rng):
+        got = objective(m, Q_x, fam)
+        want = matrix_objective(m, Q_x, fam)
+        assert got == want
+        seen["complex"] += np.iscomplexobj(m.Q_s)
+        seen["uneven"] += m.m_s % fam.M0 != 0
+        seen["limit"] += fam.is_limit
+        seen["inf"] += got == math.inf
+        seen["finite"] += math.isfinite(got)
+    assert sum(seen[k] for k in ("inf", "finite")) >= 500
+    assert min(seen.values()) >= 50, seen
+
+
+def test_witness_evaluator_both_singular_term_is_infinite():
+    # interference power 1e10 beside the half-identity: both log-dets of
+    # the remainder group fail the relative rank rule.  The one-ratio-per-
+    # member oracle raised; the evaluator reads it as no bound (+inf), and
+    # the reported bound falls back to the interference-free capacity.
+    m = validate_model(2, 2, 1, np.eye(2), [[1.0]], 1e5, 1.0)
+    Q_x = np.eye(2) / 2.0
+    sub = signal_subspace(m.H, Q_x)
+    fam = build_family(m, sub, whiten_state(m.Q_s),
+                       GroupPartition(groups=((0,),)))
+    with pytest.raises(BothSingular):
+        matrix_objective(m, Q_x, fam)
+    assert objective(m, Q_x, fam) == math.inf
+    rep = capacity_upper_bound(m, SearchConfig(restarts=1, max_iters=3))
+    assert rep.value_bits == interference_free_capacity(m)
 
 
 def test_inner_inf_single_partition():

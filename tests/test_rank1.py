@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from dpbound import (
     Rank1Inputs,
+    capacity_upper_bound,
+    cross_check_rank1,
+    interference_free_capacity,
     prelog_gap_certificate,
     prelog_reference,
     rank1_inputs_from_model,
@@ -45,6 +48,27 @@ def test_bound_two_state_dims():
 def test_zero_cap_rejected():
     with pytest.raises(ZeroAmax):
         rank_one_bound(Rank1Inputs(1.0, (1.0,), 0.0, 0.5))
+
+
+def test_underflowing_cap_gives_infinite_bound():
+    # a_max = 1e-170 passes validation, but a_max^2 underflows to zero
+    assert rank_one_bound(Rank1Inputs(P15, (1.0,), 1e-170, 0.5)) == math.inf
+    assert rank_one_bound(Rank1Inputs(P15, (4.0, 1.0), 1e-170, 1.0)) == math.inf
+    # a denormal interference power is still finite, and so the bound
+    assert rank_one_bound(Rank1Inputs(P15, (1.0,), 1e-160, 0.5)) > 100.0
+
+
+def test_underflowing_cap_model_paths_are_infinite():
+    # MISO (2x1) and scalar models reach the closed form through the general
+    # entry points too; the effective bound is the interference-free rate
+    for H in ([[1.0, 0.5]], [[1.0]]):
+        m = validate_model(len(H[0]), 1, 1, H, [[1.0]], 1e-170, 10.0)
+        rep = capacity_upper_bound(m)
+        assert rep.raw_value_bits == math.inf
+        assert rep.value_bits == interference_free_capacity(m)
+    m = validate_model(2, 1, 1, [[1.0, 0.5]], [[1.0]], 1e-170, 10.0)
+    assert cross_check_rank1(m) == {"general": math.inf,
+                                    "closed_form": math.inf, "delta": 0.0}
 
 
 @pytest.mark.parametrize("hp", [math.nan, math.inf, -math.inf])
@@ -92,6 +116,11 @@ def test_gap_certificate_below_threshold():
 def test_gap_bound_formula():
     inp = Rank1Inputs(1.0, (1.0, 1.0), 1.0, 0.5)
     assert prelog_gap_certificate(inp)["gap_bound"] == pytest.approx(1.0 / 3.0)
+
+
+def test_gap_certificate_underflowing_cap_does_not_apply():
+    cert = prelog_gap_certificate(Rank1Inputs(P15, (1.0, 2.0), 1e-170, 0.5))
+    assert cert == {"applies": False, "gap_bound": pytest.approx(1.0 / 3.0)}
 
 
 def test_gap_certificate_needs_finite_cap():
