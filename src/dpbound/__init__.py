@@ -15,7 +15,6 @@ from .channel import (
     AdversaryFamily,
     ChannelModel,
     FieldKind,
-    InputCovariance,
     inr_to_amax,
     load_model,
     model_from_json,
@@ -37,6 +36,7 @@ from .oracle import (
     cross_check_rank1,
     logdet_concavity_check,
     run_equivalence_suite,
+    witness_value,
 )
 from .rank1 import (
     Rank1Inputs,
@@ -60,7 +60,6 @@ __all__ = [
     "DofScenario",
     "FieldKind",
     "GroupPartition",
-    "InputCovariance",
     "InrScaling",
     "Rank1Inputs",
     "SearchConfig",
@@ -97,4 +96,5 @@ __all__ = [
     "validate_model",
     "water_filling",
     "whiten_state",
+    "witness_value",
 ]

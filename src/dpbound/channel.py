@@ -29,14 +29,12 @@ from .errors import (
     NonpositiveVariance,
     NotPSD,
     PartitionMismatch,
-    PowerBudgetExceeded,
     QsRankDeficient,
 )
 
 # Numerical tolerances, fixed for every evaluation.
 EPS_PSD = 1e-10          # relative floor for "numerically PSD"
 ORTHO_TOL = 1e-9         # Frobenius tolerance for state-orthogonality checks
-TRACE_SLACK = 1e-12      # relative slack on the power constraint
 RANK_TOL = 1e-9          # relative eigenvalue threshold for rank decisions
 SV_CAP_SLACK = 1e-9      # relative slack on the singular-value cap
 
@@ -82,32 +80,6 @@ class ChannelModel:
     a_max: float          # may be math.inf
     P: float
     field: FieldKind
-
-
-@dataclass(frozen=True)
-class InputCovariance:
-    """Candidate input covariance with PSD and trace certificates attached."""
-
-    Q_x: np.ndarray
-
-    @staticmethod
-    def validate(Q_x, P: float) -> "InputCovariance":
-        """Check Hermitian symmetry, numerical PSD-ness and the power budget."""
-        Q = _as_matrix(Q_x, "Q_x")
-        if Q.shape[0] != Q.shape[1]:
-            raise DimensionMismatch(f"Q_x must be square, got {Q.shape}")
-        if not np.allclose(Q, Q.conj().T, atol=1e-10 * (1.0 + np.abs(Q).max())):
-            raise NotPSD("Q_x is not Hermitian")
-        Q = _hermitize(Q)
-        w = np.linalg.eigvalsh(Q)
-        top = max(float(w[-1]), 0.0)
-        if float(w[0]) < -EPS_PSD * max(top, 1e-300):
-            raise NotPSD(f"Q_x has eigenvalue {w[0]:g} below the PSD tolerance")
-        tr = float(np.real(np.trace(Q)))
-        if tr > P * (1.0 + TRACE_SLACK):
-            raise PowerBudgetExceeded(
-                f"tr(Q_x)={tr:g} exceeds the power budget P={P:g}")
-        return InputCovariance(_freeze(Q))
 
 
 @dataclass(frozen=True)

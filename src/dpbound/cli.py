@@ -173,6 +173,7 @@ def _cmd_verify(args) -> int:
     _note(args, "running aligned-vs-brute-force equivalence suite (20 cases)")
     records = run_equivalence_suite()
     equiv_ok = all(r["ok"] for r in records)
+    witness_ok = all(r["witness_ok"] for r in records)
 
     _note(args, "running log-det concavity trials")
     trials = 0
@@ -181,12 +182,14 @@ def _cmd_verify(args) -> int:
         concave_ok &= bool(np.all(concavity_verdicts(M, Psi)))
         trials += len(order)
 
-    passed = equiv_ok and concave_ok
+    passed = equiv_ok and witness_ok and concave_ok
     _emit({
         "passed": passed,
         "equivalence": {"cases": len(records),
                         "max_gap": max(r["gap"] for r in records),
                         "ok": equiv_ok},
+        "witness": {"max_gap": max(r["witness_gap"] for r in records),
+                    "ok": witness_ok},
         "concavity": {"trials": trials, "ok": concave_ok},
         "seed_ladder": list(ladder),
     })

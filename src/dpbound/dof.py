@@ -14,9 +14,10 @@ from fractions import Fraction
 
 from .errors import NegativeParameter, TooLarge
 
-# Largest m_s a scenario accepts: the rank search takes at most about 1,500
-# steps up to here, but about 120,000 (0.7 s) at m_s = 1e20.
-MAX_DOF_STATE_DIM = 10 ** 12
+# Largest dimension a scenario accepts: the rank search takes at most about
+# 1,500 steps for m_s up to here, but about 120,000 (0.7 s) at m_s = 1e20,
+# and an m_t or m_r past the float range overflows the float results.
+MAX_DOF_DIM = 10 ** 12
 
 
 class InrScaling(enum.Enum):
@@ -36,8 +37,9 @@ class DofScenario:
     def __post_init__(self):
         if min(self.m_t, self.m_r, self.m_s) < 1:
             raise NegativeParameter("dimensions must be at least 1")
-        if self.m_s > MAX_DOF_STATE_DIM:
-            raise TooLarge(f"m_s = {self.m_s} exceeds {MAX_DOF_STATE_DIM}")
+        for name in ("m_t", "m_r", "m_s"):
+            if getattr(self, name) > MAX_DOF_DIM:
+                raise TooLarge(f"{name} = {getattr(self, name)} exceeds {MAX_DOF_DIM}")
 
 
 def dof_fixed_rank(m0: int, m_s: int) -> float:

@@ -33,10 +33,6 @@ class FieldMismatch(DirtyPaperError):
     """Complex-valued entries supplied for a real-field model."""
 
 
-class PowerBudgetExceeded(DirtyPaperError):
-    """An input covariance uses more than the allowed transmit power."""
-
-
 class InfeasibleFamily(DirtyPaperError):
     """An adversary family breaks the cap or orthogonality certificates."""
 

@@ -1,13 +1,12 @@
 """Max-min search for the general capacity upper bound.
 
 For a fixed input covariance the bound averages log-det terms over an
-adversary family.  This module holds the search and its one kernel,
-``_fast_value``, the aligned objective in diagonal scalar arithmetic.
-The inner minimization ranks the candidate partitions of
-``adversary.enumerate_partitions`` (which contain a minimiser) by that
-kernel, so it is exact over the aligned families; the reported value is
-the witness evaluator ``adversary.objective`` on the family built for
-the winner, and since every aligned family is feasible it is a sound
+adversary family.  The inner minimization ranks the candidate partitions
+of ``adversary.enumerate_partitions`` (which contain a minimiser) by
+``adversary.objective``, the aligned objective in diagonal form, so it is
+exact over the aligned families.  The reported value is that same
+objective for the winning partition, whose family is built and validated
+as the witness; since every aligned family is feasible it is a sound
 surrogate for the true infimum.  The outer maximization over input
 covariances runs per fixed signal rank via a factor parameterization,
 sidestepping the rank discontinuity of the objective, and is labeled
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from math import log2
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -82,76 +80,15 @@ class BoundReport:
         })
 
 
-def _fast_value(lam, v, a_max: float, m_s: int, part: GroupPartition,
-                kappa: float) -> float:
-    """Closed-form objective for an aligned family, diagonal arithmetic only.
-
-    ``lam`` is the descending signal spectrum, ``v`` the descending state
-    spectrum, both as sequences of Python floats; group coordinate k
-    contributes interference a_max^2 v_k on signal row r (rows assigned in
-    order within each group).  Terms are accumulated left to right in
-    scalar floats: the inputs hold a handful of entries, where per-call
-    array dispatch would cost more than the arithmetic.  A zero
-    interference power in a full group (a cap whose square underflows)
-    makes its log-det ratio, and so the value, +inf.
-
-    The order of the float additions is part of the result.  The outer
-    ascent compares values that can differ only in their last bits, so
-    summing the same slot costs in another order changes the steps it
-    takes: one slot-by-slot reordering changed the reported raw bound on
-    77 of the 336 benchmark pool models, by up to 9e-12 bits.  A
-    replacement kernel (a dynamic program over slots, say) must keep this
-    order or have its bounds re-checked against the recorded references.
-    """
-    M0 = len(lam)
-    groups = part.groups
-    N = len(groups)
-    divisible = (m_s % M0 == 0)
-    total = 0.0
-    for x in lam:
-        total += log2(1.0 + x)
-    if math.isinf(a_max):
-        if not divisible:
-            r = len(groups[-1])
-            tail = 0.0
-            for x in lam[r:]:
-                tail += log2(1.0 + x)
-            total += tail + (M0 - r) + 2.0 * M0
-        return kappa * total / (N + 1)
-    a2 = a_max * a_max
-    n_full = N if divisible else N - 1
-    try:
-        for gi in range(n_full):
-            term = 0.0
-            for x, k in zip(lam, groups[gi]):
-                t = a2 * v[k]
-                term += log2(x + 1.0 + t) - log2(t)
-            total += term
-    except ValueError:
-        return math.inf
-    if not divisible:
-        group = groups[-1]
-        r = len(group)
-        numer = denom = rest = 0.0
-        for x, k in zip(lam, group):
-            t = a2 * v[k]
-            numer += log2(x + 1.0 + t)
-            denom += log2(t + 0.5)
-        for x in lam[r:]:
-            rest += log2(x + 1.0)
-        total += numer + rest - denom + (M0 - r) + 2.0 * M0
-    return kappa * total / (N + 1)
-
-
 def _best_partition(parts, lam, v, a_max: float, m_s: int,
                     kappa: float) -> tuple[GroupPartition, float]:
-    """The partition of least ``_fast_value`` among ``parts``, and that value.
+    """The partition of least ``objective`` among ``parts``, and that value.
 
     The first of ``parts`` is returned when every value is +inf.
     """
     best_part, best_val = parts[0], math.inf
     for part in parts:
-        val = _fast_value(lam, v, a_max, m_s, part, kappa)
+        val = objective(lam, v, a_max, m_s, part, kappa)
         if val < best_val:
             best_part, best_val = part, val
     return best_part, best_val
@@ -160,27 +97,23 @@ def _best_partition(parts, lam, v, a_max: float, m_s: int,
 def inner_inf(model: ChannelModel, Q_x) -> tuple[AdversaryFamily, float]:
     """Minimize the objective over aligned families at the full cap.
 
-    The scalar kernel picks the best candidate partition, which attains the
-    minimum over aligned families (see ``adversary``); the family for that
-    partition is built and validated once, and the matrix ``objective`` on
-    it is the returned value.  Any feasible family upper-bounds the true
-    infimum, so the value is always a sound surrogate (never below the true
-    inf).  With a zero cap the constructed denominators vanish; the
-    sentinel +inf is returned and callers fall back to the
-    interference-free capacity.
+    ``objective`` picks the best candidate partition, which attains the
+    minimum over aligned families (see ``adversary``); its value is the
+    one returned, and the family for that partition is built and
+    validated once as the witness.  Any feasible family upper-bounds the
+    true infimum, so the value is always a sound surrogate (never below
+    the true inf).  A zero cap makes every full group's term, and so the
+    value, +inf (only m_s < M0, with no full group, stays finite);
+    callers fall back to the interference-free capacity.
     """
     sub = signal_subspace(model.H, Q_x)
     if sub.M0 == 0:
         raise RankZeroSignal("H Q_x H^dagger is numerically zero")
     white = whiten_state(model.Q_s)
-    parts = enumerate_partitions(model.m_s, sub.M0)
-    if model.a_max == 0.0:
-        return build_family(model, sub, white, parts[0]), math.inf
-    part, _ = _best_partition(parts, sub.spectrum.tolist(),
-                              white.eigvals.tolist(), model.a_max,
-                              model.m_s, model.field.kappa)
-    fam = build_family(model, sub, white, part)
-    return fam, objective(model, Q_x, fam)
+    part, value = _best_partition(enumerate_partitions(model.m_s, sub.M0),
+                                  sub.spectrum.tolist(), white.eigvals.tolist(),
+                                  model.a_max, model.m_s, model.field.kappa)
+    return build_family(model, sub, white, part), value
 
 
 def _spectrum_of(H: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -191,32 +124,10 @@ def _spectrum_of(H: np.ndarray, F: np.ndarray) -> np.ndarray:
     return lam[lam > RANK_TOL * lam[0]]
 
 
-class _AscentProblem:
-    """Inner-inf value as a function of the covariance factor F."""
-
-    def __init__(self, model: ChannelModel):
-        self.model = model
-        self.H = np.asarray(model.H)
-        self.v = np.asarray(whiten_state(model.Q_s).eigvals).tolist()
-        self.kappa = model.field.kappa
-        self._parts: dict[int, list] = {}
-
-    def parts_for(self, M0: int) -> list:
-        if M0 not in self._parts:
-            self._parts[M0] = enumerate_partitions(self.model.m_s, M0)
-        return self._parts[M0]
-
-    def value(self, F: np.ndarray) -> float:
-        lam = _spectrum_of(self.H, F).tolist()
-        if not lam:
-            return 0.0
-        return _best_partition(self.parts_for(len(lam)), lam, self.v,
-                               self.model.a_max, self.model.m_s, self.kappa)[1]
-
-
-def _coordinate_ascent(problem: _AscentProblem, F0: np.ndarray, P: float,
+def _coordinate_ascent(value, F0: np.ndarray, P: float,
                        max_iters: int) -> tuple[np.ndarray, float, int, bool]:
-    """Maximize over factors on the Frobenius sphere of radius sqrt(P)."""
+    """Maximize ``value(F)`` over factors on the Frobenius sphere of radius
+    sqrt(P)."""
     scale = math.sqrt(P)
 
     def renorm(F):
@@ -224,7 +135,7 @@ def _coordinate_ascent(problem: _AscentProblem, F0: np.ndarray, P: float,
         return F * (scale / n) if n > 0 else F
 
     F = renorm(F0.copy())
-    best = problem.value(F)
+    best = value(F)
     step = 0.25 * scale
     is_complex = np.iscomplexobj(F)
     iters = 0
@@ -242,7 +153,7 @@ def _coordinate_ascent(problem: _AscentProblem, F0: np.ndarray, P: float,
                 cand = F.copy()
                 cand[idx] += d
                 cand = renorm(cand)
-                val = problem.value(cand)
+                val = value(cand)
                 if val > best:
                     improved += val - best
                     F, best = cand, val
@@ -260,14 +171,16 @@ def outer_sup(model: ChannelModel, M0_target: int,
     Covariances are parameterized as F F^dagger with the trace saturated at
     P (the objective never decreases when the signal block grows, so full
     power is optimal).  Single-antenna channels are delegated to the exact
-    closed form; everything else is labeled as a heuristic supremum.  The
-    report's ``M0`` is the rank of the witness, ``signal_subspace`` of the
-    best covariance found, whose family gives the reported value; it can
-    fall below ``diagnostics["target_rank"]``.  ``diagnostics["inner_method"]``
-    is ``"exact"``: at every evaluation, and for the reported value, the
-    inner minimum is taken over all aligned families, through the
-    candidate partitions of ``adversary.enumerate_partitions``.  It is null
-    if the search ends at rank 0.
+    closed form; everything else is labeled as a heuristic supremum.  Each
+    ascent step evaluates ``adversary.objective`` over the candidate
+    partitions of ``adversary.enumerate_partitions`` (memoised per signal
+    rank) at the spectrum of H F, and the reported value is ``inner_inf``
+    at the best covariance found: the same objective, no matrix log-det.
+    The report's ``M0`` is the rank of the witness, ``signal_subspace`` of
+    that covariance; it can fall below ``diagnostics["target_rank"]``.
+    ``diagnostics["inner_method"]`` is ``"exact"``: at every evaluation,
+    and for the reported value, the inner minimum is taken over all aligned
+    families.  It is null if the search ends at rank 0.
     """
     search = search or SearchConfig()
     m_star = min(model.m_t, model.m_r)
@@ -291,9 +204,19 @@ def outer_sup(model: ChannelModel, M0_target: int,
                            diagnostics={"mode": "dead_channel",
                                         "target_rank": M0_target})
 
-    problem = _AscentProblem(model)
     H = np.asarray(model.H)
     P = model.P
+    v = whiten_state(model.Q_s).eigvals.tolist()
+    m_s, a_max, kappa = model.m_s, model.a_max, model.field.kappa
+
+    def value(F):
+        """The inner minimum at covariance F F^dagger."""
+        lam = _spectrum_of(H, F).tolist()
+        if not lam:
+            return 0.0
+        return _best_partition(enumerate_partitions(m_s, len(lam)), lam, v,
+                               a_max, m_s, kappa)[1]
+
     dtype = complex if np.iscomplexobj(H) else float
 
     seeds = []
@@ -314,7 +237,7 @@ def outer_sup(model: ChannelModel, M0_target: int,
 
     best_F, best_val, total_iters, exhausted = None, -math.inf, 0, False
     for F0 in seeds:
-        F, val, iters, flag = _coordinate_ascent(problem, F0, P, search.max_iters)
+        F, val, iters, flag = _coordinate_ascent(value, F0, P, search.max_iters)
         total_iters += iters
         exhausted = exhausted or flag
         if val > best_val:

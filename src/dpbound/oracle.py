@@ -1,9 +1,11 @@
 """Independent brute-force verification of the bound machinery.
 
-Three checks live here: a dense-grid minimization over feasible adversary
-families (no alignment assumption) for small instances, a numeric check of
-the log-det concavity inequality the bound's derivation leans on, and a
-cross-check of the general evaluator against the rank-one closed form.
+Four checks live here: a dense-grid minimization over feasible adversary
+families (no alignment assumption) for small instances, the witness
+evaluator, which takes the matrix log-dets of a built family and checks
+the diagonal ``adversary.objective`` the search reports, a numeric check
+of the log-det concavity inequality the bound's derivation leans on, and
+a cross-check of the general evaluator against the rank-one closed form.
 Grids are deterministic so failures replay bit-for-bit.
 """
 
@@ -13,11 +15,12 @@ import math
 
 import numpy as np
 
-from .channel import ChannelModel, InputCovariance, _hermitize, validate_model
-from .errors import InfeasiblePsi, NotRankOne, TooLarge
+from .channel import AdversaryFamily, ChannelModel, _hermitize, validate_model
+from .errors import (InfeasiblePsi, NotRankOne, PartitionMismatch, RankZeroSignal,
+                     TooLarge)
 from .general import inner_inf
 from .rank1 import rank1_inputs_from_model, rank_one_bound
-from .spectral import logdet_eigvals, signal_subspace, whiten_state
+from .spectral import logdet_eigvals, logdet_psd, signal_subspace, whiten_state
 
 SEED_LADDER = tuple(range(10))
 
@@ -51,8 +54,6 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
     by construction.  Guarded to m_r * m_s <= 4, at most two groups and a
     signal rank of at most two.
     """
-    if isinstance(Q_x, InputCovariance):
-        Q_x = Q_x.Q_x
     sub = signal_subspace(model.H, Q_x)
     M0 = sub.M0
     m_s = model.m_s
@@ -250,11 +251,101 @@ def _transpose(stack: np.ndarray) -> np.ndarray:
     return np.swapaxes(stack, -1, -2)
 
 
+def _witness_blocks(model: ChannelModel, Q_x,
+                    fam: AdversaryFamily) -> tuple[np.ndarray, np.ndarray]:
+    """I + S and a stack of S + I + T_i, then T_i (T_N + I/2 for an uneven
+    last group), in the family's signal basis; the stack is empty for a
+    limit family."""
+    Q_x = np.asarray(Q_x)
+    H = np.asarray(model.H)
+    G = _hermitize(H @ Q_x @ H.conj().T)
+
+    sub = fam.subspace
+    if sub is None or sub.M0 != fam.M0:
+        raise PartitionMismatch("family was not built for this signal subspace")
+    M0 = fam.M0
+    if M0 < 1:
+        raise RankZeroSignal("H Q_x H^dagger is numerically zero")
+    U = np.asarray(sub.U)
+    resid = G - U.conj().T @ (U @ G @ U.conj().T) @ U
+    if float(np.linalg.norm(resid)) > 1e-8 * (1.0 + float(np.linalg.norm(G))):
+        raise PartitionMismatch("family subspace does not span H Q_x H^dagger")
+
+    S = _hermitize(U @ G @ U.conj().T)
+    eye = np.eye(M0)
+    if fam.is_limit:
+        return eye + S, np.empty((0, M0, M0))
+    Qs = np.asarray(model.Q_s)
+    T = np.array([_hermitize(U @ (A @ Qs @ A.conj().T) @ U.conj().T)
+                  for A in fam.members])
+    denoms = T.copy()
+    if model.m_s % M0 != 0:
+        denoms[-1] += 0.5 * eye
+    return eye + S, np.concatenate([S + eye + T, denoms])
+
+
+def witness_value(model: ChannelModel, Q_x, fam: AdversaryFamily) -> float:
+    """The bound objective of a built family from its matrix log-dets, in bits.
+
+    kappa * [sum over the first N-1 interference groups of
+    log2 det(S + I + T_i) - log2 det(T_i) + log2 det(I + S) + g] / (N + 1)
+
+    with S the signal block and T_i the interference blocks, all in the
+    signal-subspace basis.  The final group's term g divides through by
+    det(T_N) when the group count divides the state dimension evenly and
+    by det(T_N + I/2) plus a 2*M0 offset otherwise.  The members' log-dets
+    take one stacked call (I + S stays apart: it is real beside complex
+    T_i when a real H meets a complex Q_s).  A group term that the
+    singular-matrix rule leaves non-finite makes the value +inf, as for a
+    large cap, where ``adversary.objective`` stays finite.  Limit
+    families (unbounded cap) have every full-rank block cancel exactly.
+    """
+    signal, blocks = _witness_blocks(model, Q_x, fam)
+    M0 = fam.M0
+    N = len(fam)
+    uneven = model.m_s % M0 != 0
+    kappa = model.field.kappa
+
+    total = logdet_psd(signal)
+    if fam.is_limit:
+        # every full-rank limit block cancels exactly
+        if uneven:
+            r = len(fam.group_map[-1])
+            total += logdet_psd(signal[r:, r:]) + (M0 - r) + 2.0 * M0
+        return kappa * total / (N + 1)
+
+    logdets = logdet_psd(blocks).tolist()
+    for i in range(N):
+        term = logdets[i] - logdets[N + i]
+        if uneven and i == N - 1:
+            term += 2.0 * M0
+        if not math.isfinite(term):
+            return math.inf
+        total += term
+    return kappa * total / (N + 1)
+
+
+def witness_tolerance(model: ChannelModel, Q_x, fam: AdversaryFamily) -> float:
+    """How far, in bits, ``witness_value`` may stray from the diagonal form.
+
+    ``eigvalsh`` finds each eigenvalue of a block B to about eps ||B||, so
+    log2 det B moves by about eps ||B|| / lambda_min(B) per eigenvalue.
+    The tolerance is 64 eps sum_B ||B|| / lambda_min(B) over I + S and
+    every member block, and +inf when a block's least eigenvalue is not
+    positive.
+    """
+    signal, blocks = _witness_blocks(model, Q_x, fam)
+    w = np.linalg.eigvalsh(np.concatenate([signal[None], blocks]))
+    if np.any(w[:, 0] <= 0.0):
+        return math.inf
+    return 64.0 * float(np.finfo(float).eps) * float(np.sum(w[:, -1] / w[:, 0]))
+
+
 def cross_check_rank1(model: ChannelModel) -> dict:
     """Compare the general evaluator against the rank-one closed form.
 
-    Builds the beamforming covariance, runs the matrix-product objective
-    through the aligned inner minimization, and reports both values plus
+    Builds the beamforming covariance, runs the aligned inner
+    minimization on it, and reports both values plus
     their absolute difference (zero when both are +inf, as for a cap whose
     square underflows).
     """
@@ -349,17 +440,24 @@ def fixed_equivalence_suite() -> list[dict]:
 
 
 def run_equivalence_suite() -> list[dict]:
-    """Run the fixed suite: one record per case, ``ok`` for a gap <= 1e-4 bits."""
+    """Run the fixed suite: one record per case, ``ok`` for a gap <= 1e-4
+    bits to the grid and ``witness_ok`` for a witness value within
+    ``witness_tolerance`` of the aligned minimum."""
     records = []
     for i, case in enumerate(fixed_equivalence_suite()):
-        _, aligned = inner_inf(case["model"], case["Q_x"])
-        brute = brute_force_inner_inf(case["model"], case["Q_x"],
-                                      case["resolution"])
+        model, Q_x = case["model"], case["Q_x"]
+        fam, aligned = inner_inf(model, Q_x)
+        brute = brute_force_inner_inf(model, Q_x, case["resolution"])
+        witness = witness_value(model, Q_x, fam)
+        witness_gap = 0.0 if witness == aligned else abs(witness - aligned)
         records.append({
             "case": i,
             "aligned": aligned,
             "brute_force": brute,
             "gap": abs(aligned - brute),
             "ok": bool(abs(aligned - brute) <= 1e-4),
+            "witness": witness,
+            "witness_gap": witness_gap,
+            "witness_ok": witness_gap <= witness_tolerance(model, Q_x, fam),
         })
     return records

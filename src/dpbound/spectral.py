@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RANK_TOL, InputCovariance, _freeze, _hermitize
+from .channel import RANK_TOL, _freeze, _hermitize
 from .errors import NotSquare, QsRankDeficient
 
 
@@ -43,12 +43,9 @@ class WhitenedState:
 def signal_subspace(H, Q_x) -> SignalSubspace:
     """Extract the message-bearing subspace of the receive space.
 
-    ``Q_x`` may be an :class:`InputCovariance` or a raw matrix.  ``M0``
-    counts the eigenvalues of H Q_x H^dagger above ``RANK_TOL`` times the
-    largest (0 for a numerically zero matrix).
+    ``M0`` counts the eigenvalues of H Q_x H^dagger above ``RANK_TOL``
+    times the largest (0 for a numerically zero matrix).
     """
-    if isinstance(Q_x, InputCovariance):
-        Q_x = Q_x.Q_x
     H = np.asarray(H)
     G = _hermitize(H @ np.asarray(Q_x) @ H.conj().T)
     w, V = np.linalg.eigh(G)

@@ -22,8 +22,9 @@ rows that the library's closed-form scalar sweep must reproduce.
 ``eigvalsh`` call, each with its own copy of the singular-matrix rule,
 and ``matrix_objective`` evaluates a family with them, one ratio per
 member: the library's stacked ``logdet_psd`` and witness evaluator
-``objective`` must reproduce them bit for bit.  ``loop_dof_upper_bound``
-evaluates the dimension-counting DOF cap at every signal rank.
+``oracle.witness_value`` must reproduce them bit for bit.
+``loop_dof_upper_bound`` evaluates the dimension-counting DOF cap at
+every signal rank.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ import numpy as np
 
 from dpbound.adversary import GroupPartition, build_family, required_group_sizes
 from dpbound.baselines import interference_free_capacity, tin_worst_case, water_filling
-from dpbound.adversary import objective
-from dpbound.channel import (RANK_TOL, AdversaryFamily, ChannelModel, InputCovariance,
-                             _hermitize, inr_to_amax, validate_model)
+from dpbound.channel import (RANK_TOL, AdversaryFamily, ChannelModel, _hermitize,
+                             inr_to_amax, validate_model)
 from dpbound.dof import dof_fixed_rank
 from dpbound.errors import (DirtyPaperError, InfeasiblePsi, NotSquare, PartitionMismatch,
                             RankZeroSignal)
-from dpbound.oracle import _grid_objective_scalar
+from dpbound.oracle import _grid_objective_scalar, witness_value
 from dpbound.rank1 import Rank1Inputs, prelog_reference, rank_one_bound
 from dpbound.spectral import signal_subspace, whiten_state
 
@@ -218,7 +218,7 @@ def exhaustive_inner_inf(model, Q_x, parts=None) -> float:
     white = whiten_state(model.Q_s)
     if parts is None:
         parts = exhaustive_partitions(model.m_s, sub.M0)
-    return min(objective(model, Q_x, build_family(model, sub, white, part))
+    return min(witness_value(model, Q_x, build_family(model, sub, white, part))
                for part in parts)
 
 
@@ -346,8 +346,6 @@ def matrix_objective(model: ChannelModel, Q_x, fam: AdversaryFamily) -> float:
     (unbounded cap) are evaluated analytically: full-rank interference
     blocks contribute exactly zero.
     """
-    if isinstance(Q_x, InputCovariance):
-        Q_x = Q_x.Q_x
     Q_x = np.asarray(Q_x)
     H = np.asarray(model.H)
     G = _hermitize(H @ Q_x @ H.conj().T)

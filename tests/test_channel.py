@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from dpbound import (
     FieldKind,
-    InputCovariance,
     inr_to_amax,
     model_from_json,
     model_to_json,
@@ -20,7 +19,6 @@ from dpbound.errors import (
     NonFinite,
     NonpositiveVariance,
     NotPSD,
-    PowerBudgetExceeded,
     QsRankDeficient,
 )
 
@@ -143,20 +141,6 @@ def test_inr_to_amax_values():
 def test_inr_round_trip(inr, v):
     a = inr_to_amax(inr, v)
     assert a * a * v == pytest.approx(10.0 ** (inr / 10.0), rel=1e-12)
-
-
-def test_input_covariance_certificates():
-    q = InputCovariance.validate(np.diag([2.0, 1.0]), P=3.0)
-    assert np.trace(q.Q_x) == pytest.approx(3.0)
-    with pytest.raises(PowerBudgetExceeded):
-        InputCovariance.validate(np.diag([2.0, 2.0]), P=3.0)
-    with pytest.raises(NotPSD):
-        InputCovariance.validate(np.diag([1.0, -0.5]), P=3.0)
-    with pytest.raises(NotPSD):
-        InputCovariance.validate([[1.0, 0.5], [0.0, 1.0]], P=3.0)
-    # tiny negative eigenvalues from floating-point products are tolerated
-    q2 = InputCovariance.validate(np.diag([1.0, -1e-12]), P=3.0)
-    assert q2.Q_x.shape == (2, 2)
 
 
 def test_json_round_trip(tmp_path):

@@ -212,6 +212,17 @@ def test_huge_integer_arguments_rejected_without_allocation(
     assert "MemoryError" not in err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--amax-finite", "false", "--inr-scaling", "linear"],
+    ["--amax-finite", "true", "--inr-scaling", "sublinear"],
+])
+def test_dof_rejects_dimensions_past_float_range(capsys, flags):
+    # 401-digit antenna counts once overflowed a float division (exit 2)
+    huge = str(10 ** 400)
+    err = rejects(capsys, "dof", "--mt", huge, "--mr", huge, "--ms", "1", *flags)
+    assert "m_t" in err and "OverflowError" not in err
+
+
 def test_bound_rank1_largest_state_dimension(capsys):
     code, doc = run_cli(capsys, "bound", "rank1", "--snr-db", "10",
                         "--inr-db", "10", "--ms", "1000000")
@@ -233,6 +244,8 @@ def test_verify_splits_trials_over_ladder(capsys, ladder):
     assert code == 0
     assert doc["passed"] is True
     assert doc["equivalence"]["cases"] == 20
+    assert doc["witness"]["ok"] is True
+    assert 0.0 <= doc["witness"]["max_gap"] < 1e-9
     assert doc["concavity"]["trials"] == 1000
     lo, hi = (int(x) for x in ladder.split(".."))
     assert doc["seed_ladder"] == list(range(lo, hi + 1))

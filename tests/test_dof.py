@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from dpbound import DofScenario, InrScaling, dof_fixed_rank, dof_upper_bound
-from dpbound.dof import MAX_DOF_STATE_DIM
+from dpbound.dof import MAX_DOF_DIM
 from dpbound.errors import NegativeParameter, TooLarge
 
 from reference_oracles import loop_dof_upper_bound
@@ -66,7 +66,7 @@ def test_pruned_max_matches_loop_over_every_rank():
 
 
 @pytest.mark.parametrize("m_star, m_s", [
-    (7, MAX_DOF_STATE_DIM), (1500, 10 ** 12), (562341, 10 ** 12),
+    (7, MAX_DOF_DIM), (1500, 10 ** 12), (562341, 10 ** 12),
     (927674, 859836568376)])
 def test_pruned_max_matches_loop_at_large_state_dimension(m_star, m_s):
     # the last two took the most pruned steps among the dimensions tried
@@ -88,6 +88,11 @@ def test_huge_ranks_return_promptly():
 
 
 def test_state_dimension_limit():
-    DofScenario(1, 1, MAX_DOF_STATE_DIM, False, InrScaling.LINEAR)
+    DofScenario(1, 1, MAX_DOF_DIM, False, InrScaling.LINEAR)
     with pytest.raises(TooLarge):
-        DofScenario(1, 1, MAX_DOF_STATE_DIM + 1, False, InrScaling.LINEAR)
+        DofScenario(1, 1, MAX_DOF_DIM + 1, False, InrScaling.LINEAR)
+    # the same bound holds for the antenna counts
+    DofScenario(MAX_DOF_DIM, MAX_DOF_DIM, 1, False, InrScaling.LINEAR)
+    for dims in ((MAX_DOF_DIM + 1, 1, 1), (1, MAX_DOF_DIM + 1, 1)):
+        with pytest.raises(TooLarge):
+            DofScenario(*dims, True, InrScaling.SUBLINEAR)

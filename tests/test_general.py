@@ -26,7 +26,8 @@ from dpbound import (
 )
 from dpbound.errors import NegativeParameter, PartitionMismatch, RankZeroSignal
 from dpbound.channel import _matrix_from_json
-from dpbound.general import _AscentProblem, _fast_value
+from dpbound.general import _best_partition, _spectrum_of
+from dpbound.oracle import witness_tolerance, witness_value
 
 from conftest import WITNESS_RANK_MODEL, rand_model, rand_psd
 from reference_oracles import (
@@ -54,7 +55,7 @@ def aligned_value(model, Q_x):
 def test_objective_scalar_high_inr():
     m = scalar_model(100.0)
     fam, _ = inner_inf(m, np.array([[P15]]))
-    val = objective(m, np.array([[P15]]), fam)
+    val = witness_value(m, np.array([[P15]]), fam)
     assert val == pytest.approx(1.258126621224833, abs=1e-12)
 
 
@@ -71,12 +72,16 @@ def test_objective_uneven_branch_hand_case():
     Q_x = np.diag([2.0, 2.0])
     sub = signal_subspace(m.H, Q_x)
     white = whiten_state(m.Q_s)
-    fam = build_family(m, sub, white, GroupPartition(groups=((0, 1), (2,))))
-    val = objective(m, Q_x, fam)
+    part = GroupPartition(groups=((0, 1), (2,)))
+    fam = build_family(m, sub, white, part)
+    val = witness_value(m, Q_x, fam)
     g = math.log2(21.0 / 2.25) + 4.0
     expected = 0.5 * (math.log2(49.0 / 16.0) + math.log2(9.0) + g) / 3.0
     assert g == pytest.approx(7.222392421336448, abs=1e-12)
     assert val == pytest.approx(expected, abs=1e-12)
+    kernel = objective(sub.spectrum.tolist(), white.eigvals.tolist(), 2.0, 3,
+                       part, 0.5)
+    assert kernel == pytest.approx(expected, abs=1e-12)
 
 
 def test_objective_unbounded_cap_scalar():
@@ -97,7 +102,7 @@ def test_objective_rejects_foreign_family():
     fam = build_family(m, sub, whiten_state(m.Q_s),
                        GroupPartition(groups=((0,),)))
     with pytest.raises(PartitionMismatch):
-        objective(m, np.diag([0.0, 4.0]), fam)
+        witness_value(m, np.diag([0.0, 4.0]), fam)
 
 
 def _witness_cases(rng):
@@ -131,7 +136,7 @@ def test_witness_evaluator_matches_matrix_oracle_bitwise():
     rng = np.random.default_rng(20130518)
     seen = {"complex": 0, "uneven": 0, "limit": 0, "inf": 0, "finite": 0}
     for m, Q_x, fam in _witness_cases(rng):
-        got = objective(m, Q_x, fam)
+        got = witness_value(m, Q_x, fam)
         want = matrix_objective(m, Q_x, fam)
         assert got == want
         seen["complex"] += np.iscomplexobj(m.Q_s)
@@ -146,8 +151,9 @@ def test_witness_evaluator_matches_matrix_oracle_bitwise():
 def test_witness_evaluator_both_singular_term_is_infinite():
     # interference power 1e10 beside the half-identity: both log-dets of
     # the remainder group fail the relative rank rule.  The one-ratio-per-
-    # member oracle raised; the evaluator reads it as no bound (+inf), and
-    # the reported bound falls back to the interference-free capacity.
+    # member oracle raised; the witness evaluator reads it as +inf.  The
+    # bound reports the diagonal objective instead, finite here; at P = 1
+    # it lies above the interference-free capacity, the effective bound.
     m = validate_model(2, 2, 1, np.eye(2), [[1.0]], 1e5, 1.0)
     Q_x = np.eye(2) / 2.0
     sub = signal_subspace(m.H, Q_x)
@@ -155,9 +161,83 @@ def test_witness_evaluator_both_singular_term_is_infinite():
                        GroupPartition(groups=((0,),)))
     with pytest.raises(BothSingular):
         matrix_objective(m, Q_x, fam)
-    assert objective(m, Q_x, fam) == math.inf
+    assert witness_value(m, Q_x, fam) == math.inf
+    assert math.isfinite(inner_inf(m, Q_x)[1])
     rep = capacity_upper_bound(m, SearchConfig(restarts=1, max_iters=3))
+    assert math.isfinite(rep.raw_value_bits)
     assert rep.value_bits == interference_free_capacity(m)
+
+
+def _kernel_value(m, fam):
+    """``objective`` of a built family's partition at its signal spectrum."""
+    return objective(fam.subspace.spectrum.tolist(),
+                     whiten_state(m.Q_s).eigvals.tolist(), m.a_max, m.m_s,
+                     GroupPartition(groups=fam.group_map), m.field.kappa)
+
+
+def test_witness_value_matches_kernel_within_conditioning():
+    # every witness case, and each finite cap again 1e4 times larger: the
+    # matrix value stays within 64 eps sum ||B|| / lambda_min(B) of the
+    # diagonal objective, except where the relative singular-matrix rule
+    # makes it +inf while the diagonal objective is finite (large caps)
+    rng = np.random.default_rng(20130518)
+    compared = diverged = 0
+    for m, Q_x, fam in _witness_cases(rng):
+        cases = [(m, fam)]
+        if math.isfinite(m.a_max) and m.a_max > 1e-100:
+            big = validate_model(m.m_t, m.m_r, m.m_s, m.H, m.Q_s,
+                                 m.a_max * 1e4, m.P, m.field)
+            cases.append((big, build_family(
+                big, fam.subspace, whiten_state(big.Q_s),
+                GroupPartition(groups=fam.group_map))))
+        for model, family in cases:
+            kernel = _kernel_value(model, family)
+            matrix = witness_value(model, Q_x, family)
+            if math.isinf(kernel):
+                assert matrix == math.inf
+            elif math.isinf(matrix):
+                diverged += 1
+            else:
+                tol = witness_tolerance(model, Q_x, family)
+                assert tol < 1e-4
+                assert abs(kernel - matrix) <= tol
+                compared += 1
+    assert compared >= 800
+    assert diverged >= 20
+
+
+def test_large_cap_bounds_below_interference_free():
+    # the matrix value of these witnesses is +inf under the relative
+    # singular-matrix rule, which made the bound the interference-free
+    # capacity (5.6724 and 2.5850 bits)
+    search = SearchConfig(2, 40)
+    for args, want in [((2, 2, 1, np.eye(2), [[1.0]], 1e6, 100.0), 5.5043),
+                       ((2, 2, 3, np.eye(2), np.eye(3), 1e5, 10.0), 2.1258)]:
+        m = validate_model(*args)
+        rep = capacity_upper_bound(m, search)
+        assert rep.value_bits == pytest.approx(want, abs=1e-4)
+        assert rep.value_bits == rep.raw_value_bits
+        assert rep.value_bits < interference_free_capacity(m) - 0.1
+
+
+def test_bound_needs_no_matrix_logdet(monkeypatch):
+    import sys
+
+    import dpbound.spectral
+
+    def boom(M):
+        raise AssertionError("logdet_psd called on the bound path")
+
+    real = dpbound.spectral.logdet_psd
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "dpbound" and getattr(mod, "logdet_psd", None) is real:
+            monkeypatch.setattr(mod, "logdet_psd", boom)
+    H = [[1.0, 0.3, -0.2], [0.1, 0.8, 0.4], [-0.5, 0.2, 1.2]]
+    m = validate_model(3, 3, 3, H, np.diag([3.0, 1.0, 0.5]), 5.0, 10.0)
+    rep = capacity_upper_bound(m, SearchConfig(restarts=1, max_iters=5))
+    assert math.isfinite(rep.raw_value_bits)
+    assert rep.diagnostics["inner_method"] == "exact"
+    assert set(rep.diagnostics["per_rank_raw"]) == {"1", "2", "3"}
 
 
 def test_inner_inf_single_partition():
@@ -172,7 +252,7 @@ def test_inner_inf_order_invariant_for_scalar_signal():
     Q = np.array([[10.0]])
     sub = signal_subspace(m.H, Q)
     white = whiten_state(m.Q_s)
-    vals = [objective(m, Q, build_family(m, sub, white, p))
+    vals = [witness_value(m, Q, build_family(m, sub, white, p))
             for p in exhaustive_partitions(2, 1)]
     assert vals[0] == pytest.approx(vals[1], abs=1e-12)
 
@@ -317,21 +397,26 @@ def test_limit_approached_from_above():
 
 
 def test_fast_evaluator_matches_matrix_path(rng):
+    # an ascent step's value (the SVD spectrum of H F, minimised over the
+    # candidates) against inner_inf at F F^T and its witness's matrix value
     for _ in range(20):
         m = rand_model(rng, complex_ok=False)
         if m.a_max == 0 or m.P == 0:
             continue
-        problem = _AscentProblem(m)
         k = int(rng.integers(1, min(m.m_t, m.m_r) + 1))
         F = rng.standard_normal((m.m_t, k))
         F *= math.sqrt(m.P) / np.linalg.norm(F)
-        fast = problem.value(F)
+        lam = _spectrum_of(m.H, F).tolist()
         try:
-            slow = aligned_value(m, F @ F.T)
+            fam, slow = inner_inf(m, F @ F.T)
         except RankZeroSignal:
-            assert fast == 0.0
+            assert lam == []
             continue
+        fast = _best_partition(enumerate_partitions(m.m_s, len(lam)), lam,
+                               whiten_state(m.Q_s).eigvals.tolist(), m.a_max,
+                               m.m_s, m.field.kappa)[1]
         assert fast == pytest.approx(slow, abs=1e-9)
+        assert fast == pytest.approx(witness_value(m, F @ F.T, fam), abs=1e-9)
 
 
 def test_per_rank_diagnostics_present():
@@ -363,8 +448,8 @@ def test_scalar_kernel_matches_numpy_reference():
             # every partition is checked; the caps rotate through them
             for i, part in enumerate(parts):
                 a_max = caps[(i + trial) % len(caps)]
-                fast = _fast_value(lam.tolist(), v.tolist(), a_max, m_s,
-                                   part, kappa)
+                fast = objective(lam.tolist(), v.tolist(), a_max, m_s,
+                                 part, kappa)
                 ref = numpy_fast_value(lam, v, a_max, m_s, part, kappa)
                 assert fast == pytest.approx(ref, rel=0, abs=1e-12)
 
@@ -417,9 +502,9 @@ def test_candidate_minimum_matches_exhaustive_oracle():
             for a_max in (math.inf, 1e-3, 1e3, drawn):
                 lam = _descending(rng, M0, 1e-3, 1e3).tolist()
                 v = _descending(rng, m_s, 0.05, 20.0).tolist()
-                want = min(_fast_value(lam, v, a_max, m_s, p, 0.5)
+                want = min(objective(lam, v, a_max, m_s, p, 0.5)
                            for p in every)
-                got = min(_fast_value(lam, v, a_max, m_s, p, 0.5)
+                got = min(objective(lam, v, a_max, m_s, p, 0.5)
                           for p in candidates)
                 assert got == pytest.approx(want, rel=0, abs=1e-12)
 

@@ -1,10 +1,11 @@
-"""The package namespace: every exported name resolves, and the witness
-evaluator is one object under each name callers and the benchmark tracer
-look it up by."""
+"""The package namespace: every exported name resolves, and the objective
+and the witness evaluator are each one object under every name callers and
+the benchmark tracer look them up by."""
 
 import dpbound
 import dpbound.adversary
 import dpbound.general
+import dpbound.oracle
 
 
 def test_every_exported_name_resolves():
@@ -13,6 +14,7 @@ def test_every_exported_name_resolves():
     assert len(set(dpbound.__all__)) == len(dpbound.__all__)
 
 
-def test_witness_evaluator_is_one_object():
+def test_objective_is_one_object():
     assert dpbound.general.objective is dpbound.adversary.objective
     assert dpbound.objective is dpbound.adversary.objective
+    assert dpbound.witness_value is dpbound.oracle.witness_value
