@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AdversaryFamily, ChannelModel, _freeze
-from .errors import InfeasibleDimensions, PartitionMismatch
+from .errors import PartitionMismatch, RankZeroSignal
 from .spectral import SignalSubspace, WhitenedState
 
 
@@ -125,7 +125,7 @@ def build_family(model: ChannelModel, sub: SignalSubspace, white: WhitenedState,
     """
     M0 = sub.M0
     if M0 < 1:
-        raise InfeasibleDimensions("signal subspace is empty")
+        raise RankZeroSignal("H Q_x H^dagger is numerically zero")
     check_partition(part, model.m_s, M0)
 
     is_limit = math.isinf(model.a_max)

@@ -16,11 +16,13 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    BadSpec,
     DimensionMismatch,
     FieldMismatch,
     InfeasibleFamily,
@@ -137,14 +139,17 @@ def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
     ``NotPSD``, ``QsRankDeficient``, ``NegativeParameter``, ``NonFinite``
     (NaN or inf in ``H`` or ``Q_s``, ``P = inf``, or an overflowing
     ``P ||H||_F^2`` or finite-cap ``a_max^2 lambda_max(Q_s)``; ``a_max = inf``
-    and underflowing caps are legal) or ``FieldMismatch`` as appropriate.
+    and underflowing caps are legal) or ``FieldMismatch`` (unknown field too).
     Validation is idempotent: feeding an accepted model's fields back
     returns an equal model.
     """
-    if isinstance(field, str):
+    if isinstance(field, str) and field.lower() in ("real", "complex"):
         field = FieldKind(field.lower())
+    if not isinstance(field, FieldKind):
+        raise FieldMismatch(f"field must be 'real' or 'complex', got {field!r}")
     for name, dim in (("m_t", m_t), ("m_r", m_r), ("m_s", m_s)):
-        if int(dim) != dim or dim < 1:
+        # inf // 1 is nan, so an infinite dimension fails too
+        if not (isinstance(dim, numbers.Real) and dim == dim // 1 >= 1):
             raise NegativeParameter(f"{name} must be a positive integer, got {dim}")
     m_t, m_r, m_s = int(m_t), int(m_r), int(m_s)
     P = float(P)
@@ -236,14 +241,29 @@ def _matrix_to_json(M: np.ndarray):
     return [[float(x) for x in row] for row in M]
 
 
+def _to_float(x, name: str) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=float)
+    except OverflowError:
+        raise NonFinite(f"{name} overflows a float") from None
+
+
+def _json_number(name: str, x):
+    """``x`` if it is a JSON number (a bool is not one), else ``BadSpec``."""
+    if type(x) not in (int, float):
+        raise BadSpec(f"{name} must be a number, got {x!r}")
+    return x
+
+
 def _matrix_from_json(rows, name: str) -> np.ndarray:
     arr = np.asarray(rows, dtype=object)
-    if arr.ndim == 3:  # [re, im] pairs
-        arr = np.asarray(rows, dtype=float)
-        return arr[..., 0] + 1j * arr[..., 1]
-    if arr.ndim == 2:
-        return np.asarray(rows, dtype=float)
-    raise DimensionMismatch(f"{name} must be a 2-D array (or 2-D array of [re, im])")
+    if arr.ndim not in (2, 3) or (arr.ndim == 3 and arr.shape[-1] != 2):
+        raise DimensionMismatch(
+            f"{name} must be a 2-D array (or 2-D array of [re, im])")
+    for x in arr.flat:
+        _json_number(f"{name} entry", x)
+    arr = _to_float(arr, name)
+    return arr[..., 0] + 1j * arr[..., 1] if arr.ndim == 3 else arr
 
 
 def model_to_json(model: ChannelModel) -> dict:
@@ -261,19 +281,20 @@ def model_to_json(model: ChannelModel) -> dict:
 
 
 def model_from_json(doc: dict) -> ChannelModel:
-    """Parse and validate a model document (inverse of :func:`model_to_json`)."""
+    """Parse and validate a model document (inverse of :func:`model_to_json`);
+    a non-object document, or a value or entry of the wrong JSON type
+    (``a_max`` may be "inf"), raises ``BadSpec``."""
+    if not isinstance(doc, dict):
+        raise BadSpec(f"model document must be a JSON object, got {type(doc).__name__}")
     try:
         a_max = doc["a_max"]
-        if isinstance(a_max, str):
-            if a_max.lower() not in ("inf", "infinity"):
-                raise NegativeParameter(f"a_max string must be 'inf', got {a_max!r}")
+        if isinstance(a_max, str) and a_max.lower() in ("inf", "infinity"):
             a_max = math.inf
         return validate_model(
-            doc["m_t"], doc["m_r"], doc["m_s"],
-            _matrix_from_json(doc["H"], "H"),
-            _matrix_from_json(doc["Q_s"], "Q_s"),
-            a_max, doc["P"], doc.get("field", "real"),
-        )
+            *(_json_number(k, doc[k]) for k in ("m_t", "m_r", "m_s")),
+            _matrix_from_json(doc["H"], "H"), _matrix_from_json(doc["Q_s"], "Q_s"),
+            _to_float(_json_number("a_max", a_max), "a_max"),
+            _to_float(_json_number("P", doc["P"]), "P"), doc.get("field", "real"))
     except KeyError as exc:
         raise DimensionMismatch(f"model document is missing key {exc}") from exc
 

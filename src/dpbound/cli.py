@@ -2,8 +2,8 @@
 
 Subcommands: ``bound rank1``, ``bound general``, ``dof``, ``baseline``,
 ``sweep`` and ``verify``.  Every command prints a single JSON object on
-stdout; exit status is 0 on success, 1 on validation/usage errors and 2
-on internal errors.  Progress notes go to stderr unless ``--quiet``.
+stdout; exit status is 0 on success, 1 on validation, usage and file
+errors and 2 on internal errors.  Progress notes go to stderr unless ``--quiet``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import DirtyPaperError, TooLarge
 from .general import SearchConfig, capacity_upper_bound
 from .oracle import concavity_trials, concavity_verdicts, run_equivalence_suite
 from .rank1 import Rank1Inputs, prelog_gap_certificate, prelog_reference, rank_one_bound
-from .sweep import SweepSpec, emit_data_files, run_sweep
+from .sweep import KNOWN_TRACES, SweepSpec, emit_data_files, run_sweep
 
 
 def _emit(doc: dict) -> None:
@@ -50,14 +50,13 @@ def _cmd_bound_rank1(args) -> int:
                          kappa=field.kappa)
     raw = rank_one_bound(inputs)
     int_free = field.kappa * math.log2(1.0 + P)
-    cert = None if math.isinf(a_max) else prelog_gap_certificate(inputs)
     _emit(_json_safe({
         "value_bits": min(raw, int_free),
         "raw_value_bits": raw,
         "prelog_bits": prelog_reference(inputs),
         "int_free_bits": int_free,
         "soundness": "Exact",
-        "gap_certificate": cert,
+        "gap_certificate": prelog_gap_certificate(inputs),
         "snr_db": args.snr_db,
         "inr_db": args.inr_db,
         "m_s": args.ms,
@@ -124,8 +123,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    traces = tuple(args.traces.split(",")) if args.traces else \
-        ("bound", "tin", "int_free", "half_if")
+    traces = tuple(args.traces.split(",")) if args.traces else KNOWN_TRACES
     spec = SweepSpec(snr_db=args.snr_db, inr_db_start=args.inr_start,
                      inr_db_stop=args.inr_stop, inr_db_step=args.step,
                      field=FieldKind(args.field), traces=traces)
@@ -264,7 +262,7 @@ def cli_dispatch(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DirtyPaperError, FileNotFoundError, ValueError) as exc:
+    except (DirtyPaperError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure

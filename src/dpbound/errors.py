@@ -30,7 +30,7 @@ class NonFinite(DirtyPaperError):
 
 
 class FieldMismatch(DirtyPaperError):
-    """Complex-valued entries supplied for a real-field model."""
+    """An unknown field, or complex-valued entries for a real-field model."""
 
 
 class InfeasibleFamily(DirtyPaperError):
@@ -45,16 +45,8 @@ class PartitionMismatch(DirtyPaperError):
     """A coordinate partition is inconsistent with the rank/dimensions in play."""
 
 
-class InfeasibleDimensions(DirtyPaperError):
-    """Requested adversary structure cannot fit the available dimensions."""
-
-
 class RankZeroSignal(DirtyPaperError):
     """The received message-bearing covariance is zero; the objective is undefined."""
-
-
-class ZeroAmax(DirtyPaperError):
-    """The closed-form rank-one bound needs a positive amplification cap."""
 
 
 class InfeasiblePsi(DirtyPaperError):
@@ -70,4 +62,4 @@ class TooLarge(DirtyPaperError):
 
 
 class BadSpec(DirtyPaperError):
-    """A sweep specification is invalid."""
+    """A sweep specification or model document is malformed."""

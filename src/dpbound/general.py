@@ -7,20 +7,23 @@ of ``adversary.enumerate_partitions`` (which contain a minimiser) by
 exact over the aligned families.  The reported value is that same
 objective for the winning partition, whose family is built and validated
 as the witness; since every aligned family is feasible it is a sound
-surrogate for the true infimum.  The outer maximization over input
-covariances runs per fixed signal rank via a factor parameterization,
-sidestepping the rank discontinuity of the objective, and is labeled
-honestly: closed-form rank-one paths are exact, multistart ascent is a
-heuristic lower estimate of the supremum (and therefore the reported
-number may undershoot the true bound; it never stops being an upper
-bound for the rates the search visited witnesses for).
+surrogate for the true infimum.
+
+Three cases need no search and are decided once, in this order, as
+``Exact``: a dead channel (no interference-free capacity) has bound 0, a
+zero cap leaves the interference-free capacity, and one antenna takes the
+rank-one closed form.  Otherwise a multistart factor ascent per signal
+rank, sidestepping the rank discontinuity of the objective, estimates the
+supremum over input covariances from below, labeled ``HeuristicSup``: the
+number may undershoot the true bound, but never stops being an upper
+bound for the rates the search visited witnesses for.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -35,7 +38,6 @@ from .spectral import signal_subspace, whiten_state
 
 class Soundness(enum.Enum):
     EXACT = "Exact"
-    CERTIFIED_RELAXATION = "CertifiedRelaxation"
     HEURISTIC_SUP = "HeuristicSup"
 
 
@@ -58,7 +60,7 @@ class BoundReport:
 
     ``raw_value_bits`` is the max-min objective before capping by the
     interference-free capacity; ``value_bits`` is the effective bound.
-    ``soundness`` is ``Exact`` only on closed-form rank-one paths.
+    ``soundness`` is ``Exact`` exactly when no search ran.
     """
 
     value_bits: float
@@ -164,23 +166,44 @@ def _coordinate_ascent(value, F0: np.ndarray, P: float,
     return F, best, iters, exhausted
 
 
+def _no_search_report(model: ChannelModel, M0_target: int,
+                      if_cap: float) -> BoundReport | None:
+    """The report of a case that needs no search, else None.
+
+    In order: zero interference-free capacity ``if_cap`` (P = 0, H = 0 or
+    an underflow) is a dead channel; a zero cap leaves ``if_cap`` at rank
+    ``M0_target``; a single antenna takes the rank-one closed form.
+    """
+    kappa = model.field.kappa
+    if if_cap == 0.0:
+        return BoundReport(0.0, 0.0, 0, kappa, Soundness.EXACT,
+                           {"mode": "dead_channel"})
+    if model.a_max == 0.0:
+        return BoundReport(if_cap, math.inf, M0_target, kappa, Soundness.EXACT,
+                           {"mode": "interference_free_fallback"})
+    if min(model.m_t, model.m_r) == 1:
+        inputs = rank1_inputs_from_model(model)
+        raw = rank_one_bound(inputs)
+        return BoundReport(min(raw, if_cap), raw, 1, kappa, Soundness.EXACT,
+                           {"mode": "closed_form",
+                            "h_norm_sq_P": inputs.h_norm_sq_P})
+    return None
+
+
 def outer_sup(model: ChannelModel, M0_target: int,
               search: SearchConfig | None = None) -> BoundReport:
     """Best bound found over covariances of factor rank ``M0_target``.
 
     Covariances are parameterized as F F^dagger with the trace saturated at
     P (the objective never decreases when the signal block grows, so full
-    power is optimal).  Single-antenna channels are delegated to the exact
-    closed form; everything else is labeled as a heuristic supremum.  Each
-    ascent step evaluates ``adversary.objective`` over the candidate
-    partitions of ``adversary.enumerate_partitions`` (memoised per signal
-    rank) at the spectrum of H F, and the reported value is ``inner_inf``
-    at the best covariance found: the same objective, no matrix log-det.
-    The report's ``M0`` is the rank of the witness, ``signal_subspace`` of
-    that covariance; it can fall below ``diagnostics["target_rank"]``.
-    ``diagnostics["inner_method"]`` is ``"exact"``: at every evaluation,
-    and for the reported value, the inner minimum is taken over all aligned
-    families.  It is null if the search ends at rank 0.
+    power is optimal).  A case that needs no search returns its ``Exact``
+    report.  Each ascent step evaluates ``adversary.objective`` over the
+    candidate partitions (memoised per signal rank) at the spectrum of H F,
+    and the reported value is ``inner_inf`` at the best covariance found.
+    The report's ``M0`` is the rank of that covariance's witness; it can
+    fall below ``diagnostics["target_rank"]``.  ``diagnostics["inner_method"]``
+    is ``"exact"`` (the inner minimum is over all aligned families), or
+    null if the search ends at rank 0.
     """
     search = search or SearchConfig()
     m_star = min(model.m_t, model.m_r)
@@ -188,21 +211,9 @@ def outer_sup(model: ChannelModel, M0_target: int,
         raise NegativeParameter(
             f"M0_target must lie in [1, {m_star}], got {M0_target}")
     if_cap, Q_wf = water_filling(model)
-
-    if m_star == 1:
-        return _rank_one_report(model, if_cap)
-    if model.a_max == 0.0:
-        return BoundReport(value_bits=if_cap, raw_value_bits=math.inf,
-                           M0=M0_target, kappa=model.field.kappa,
-                           soundness=Soundness.CERTIFIED_RELAXATION,
-                           diagnostics={"mode": "interference_free_fallback",
-                                        "target_rank": M0_target})
-    if model.P == 0.0 or not np.any(np.asarray(model.H)):
-        return BoundReport(value_bits=0.0, raw_value_bits=0.0, M0=0,
-                           kappa=model.field.kappa,
-                           soundness=Soundness.CERTIFIED_RELAXATION,
-                           diagnostics={"mode": "dead_channel",
-                                        "target_rank": M0_target})
+    exact = _no_search_report(model, M0_target, if_cap)
+    if exact is not None:
+        return exact
 
     H = np.asarray(model.H)
     P = model.P
@@ -266,26 +277,10 @@ def outer_sup(model: ChannelModel, M0_target: int,
                        diagnostics=diagnostics)
 
 
-def _rank_one_report(model: ChannelModel, if_cap: float) -> BoundReport:
-    kappa = model.field.kappa
-    if model.a_max == 0.0:
-        return BoundReport(value_bits=if_cap, raw_value_bits=math.inf,
-                           M0=1, kappa=kappa, soundness=Soundness.EXACT,
-                           diagnostics={"mode": "interference_free_fallback"})
-    inputs = rank1_inputs_from_model(model)
-    raw = rank_one_bound(inputs)
-    value = min(raw, if_cap)
-    m0 = 0 if inputs.h_norm_sq_P == 0.0 else 1
-    return BoundReport(value_bits=value, raw_value_bits=raw, M0=m0,
-                       kappa=kappa, soundness=Soundness.EXACT,
-                       diagnostics={"mode": "closed_form",
-                                    "h_norm_sq_P": inputs.h_norm_sq_P})
-
-
 def capacity_upper_bound(model: ChannelModel,
                          search: SearchConfig | None = None) -> BoundReport:
     """Best bound over all requested signal ranks, capped by the
-    interference-free capacity.
+    interference-free capacity; a case that needs no search skips the loop.
 
     ``search.ranks`` of None tries every rank; an empty sequence is
     rejected.  The ranks are checked in order without being copied, so a
@@ -300,9 +295,9 @@ def capacity_upper_bound(model: ChannelModel,
         if not 1 <= t <= m_star:
             raise NegativeParameter(f"rank target {t} outside [1, {m_star}]")
 
-    if m_star == 1 or model.a_max == 0.0 or model.P == 0.0 \
-            or not np.any(np.asarray(model.H)):
-        return outer_sup(model, targets[0], search)
+    exact = _no_search_report(model, targets[0], water_filling(model)[0])
+    if exact is not None:
+        return exact
 
     best = None
     per_rank = {}
@@ -311,9 +306,4 @@ def capacity_upper_bound(model: ChannelModel,
         per_rank[str(t)] = rep.raw_value_bits
         if best is None or rep.raw_value_bits > best.raw_value_bits:
             best = rep
-    diagnostics = dict(best.diagnostics)
-    diagnostics["per_rank_raw"] = per_rank
-    return BoundReport(value_bits=best.value_bits,
-                       raw_value_bits=best.raw_value_bits, M0=best.M0,
-                       kappa=best.kappa, soundness=best.soundness,
-                       diagnostics=diagnostics)
+    return replace(best, diagnostics={**best.diagnostics, "per_rank_raw": per_rank})

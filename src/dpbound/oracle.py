@@ -52,13 +52,13 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
     basis, where ``C_i`` ranges over gains in [0, a_max] and rotation
     angles on [0, pi), with state-orthogonality between members enforced
     by construction.  Guarded to m_r * m_s <= 4, at most two groups and a
-    signal rank of at most two.
+    signal rank of at most two; a rank-zero signal raises RankZeroSignal.
     """
     sub = signal_subspace(model.H, Q_x)
     M0 = sub.M0
     m_s = model.m_s
     if M0 == 0:
-        raise TooLarge("zero-rank signal has no objective to minimize")
+        raise RankZeroSignal("H Q_x H^dagger is numerically zero")
     n_groups = -(-m_s // M0)
     if model.m_r * m_s > 4 or n_groups > 2 or M0 > 2:
         raise TooLarge(

@@ -3,7 +3,8 @@
 Covers MISO and SIMO links (and the scalar channel): the message-bearing
 signal occupies a single receive dimension of power ``|h|^2 P`` after
 transmit or receive beamforming, and each state eigendirection is aimed
-into that dimension at the full amplification cap.
+into that dimension at the full amplification cap.  The closed form and its
+gap certificate are total on a_max in [0, inf].
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .errors import NegativeParameter, NonFinite, NotRankOne, ZeroAmax
+from .errors import NegativeParameter, NonFinite, NotRankOne
 from .spectral import whiten_state
 
 
@@ -50,12 +51,10 @@ def rank_one_bound(inputs: Rank1Inputs) -> float:
              + log2(1 + |h|^2 P)] / (m_s + 1)
 
     With an unbounded cap each sum term vanishes, leaving the pure prelog
-    value.  A zero cap is rejected; the caller should use the
-    interference-free capacity instead.  A positive cap whose interference
-    power a^2 v_i underflows to zero makes its term, and the bound, +inf.
+    value.  A zero cap, or one whose interference power a^2 v_i underflows
+    to zero, makes a term, and the bound, +inf: the limit as the cap falls
+    to zero.
     """
-    if inputs.a_max == 0.0:
-        raise ZeroAmax("rank-one bound needs a_max > 0")
     hp = inputs.h_norm_sq_P
     m_s = len(inputs.v)
     total = math.log2(1.0 + hp)
@@ -83,17 +82,14 @@ def prelog_gap_certificate(inputs: Rank1Inputs) -> dict:
     most one bit, so the gap lies in [0, kappa * m_s / (m_s + 1)].
     Returns ``{"applies": bool, "gap_bound": float}``; the guarantee is
     only made when ``applies`` is true, never for a zero cap or one whose
-    square underflows.
+    square underflows.  An unbounded cap meets the threshold: the bound is
+    then the prelog value, a gap of exactly 0.
     """
-    if math.isinf(inputs.a_max):
-        raise ZeroAmax("gap certificate requires a finite a_max")
     m_s = len(inputs.v)
     gap_bound = inputs.kappa * m_s / (m_s + 1)
     a2 = inputs.a_max ** 2
-    if a2 == 0.0:
-        return {"applies": False, "gap_bound": gap_bound}
-    threshold = (1.0 + inputs.h_norm_sq_P) / a2
-    return {"applies": bool(min(inputs.v) >= threshold), "gap_bound": gap_bound}
+    applies = a2 > 0.0 and min(inputs.v) >= (1.0 + inputs.h_norm_sq_P) / a2
+    return {"applies": applies, "gap_bound": gap_bound}
 
 
 def rank1_inputs_from_model(model: ChannelModel) -> Rank1Inputs:

@@ -56,6 +56,20 @@ def test_parameter_signs():
     assert math.isinf(m.a_max)
 
 
+@pytest.mark.parametrize("dim", [math.inf, math.nan, 2.5, "1"])
+def test_non_integer_dimension_rejected(dim):
+    # an infinite dimension once raised OverflowError from int()
+    with pytest.raises(NegativeParameter, match="m_t"):
+        validate_model(dim, 1, 1, [[1.0]], [[1.0]], 1.0, 1.0)
+
+
+@pytest.mark.parametrize("field", [3, None, "quaternion"])
+def test_unknown_field_rejected(field):
+    # a non-string field was once stored as given, and failed on first use
+    with pytest.raises(FieldMismatch, match="field"):
+        validate_model(1, 1, 1, [[1.0]], [[1.0]], 1.0, 1.0, field)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_rejected(bad):
     with pytest.raises(NonFinite):

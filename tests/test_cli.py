@@ -297,9 +297,93 @@ def test_bound_rank1_unbounded_cap(capsys):
     code, doc = run_cli(capsys, "bound", "rank1", "--snr-db", "15",
                         "--inr-db", "inf", "--ms", "2")
     assert code == 0
-    assert doc["gap_certificate"] is None
+    assert doc["gap_certificate"] == {"applies": True,
+                                      "gap_bound": pytest.approx(1.0 / 3.0)}
     assert doc["inr_db"] == "inf"
     assert doc["raw_value_bits"] == doc["prelog_bits"] > 0.0
+
+
+# 0.5 log2(1 + 10): the interference-free rate at 10 dB SNR
+INT_FREE_10DB = 0.5 * math.log2(11.0)
+
+
+@pytest.mark.parametrize("inr_db", ["-inf", "-4000"])
+def test_bound_rank1_zero_cap(capsys, inr_db):
+    # 10^(-400) underflows: the cap is zero and the bound is int-free
+    code, doc = run_cli(capsys, "bound", "rank1", "--snr-db", "10",
+                        f"--inr-db={inr_db}", "--ms", "1")
+    assert code == 0
+    assert doc["raw_value_bits"] == "inf"
+    assert doc["value_bits"] == doc["int_free_bits"] == \
+        pytest.approx(INT_FREE_10DB, abs=1e-12)
+    assert doc["gap_certificate"] == {"applies": False, "gap_bound": 0.25}
+
+
+def test_sweep_zero_cap(capsys, tmp_path):
+    code, doc = run_cli(capsys, "--quiet", "sweep", "--snr-db", "10",
+                        "--inr-start", "-4000", "--inr-stop", "0",
+                        "--step", "1000", "--out", str(tmp_path))
+    assert code == 0
+    assert doc["points"] == 5
+    rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+    assert rows[0]["bound"] == "inf"
+    assert rows[0]["bound_eff"] == pytest.approx(INT_FREE_10DB, abs=1e-12)
+    assert (tmp_path / "bound.data").read_text().splitlines()[0] == "-4000 inf"
+
+
+def test_bound_general_zero_cap_mimo(capsys, tmp_path):
+    m = validate_model(2, 2, 2, np.eye(2), np.eye(2), 0.0, 10.0)
+    path = tmp_path / "zero_cap.json"
+    path.write_text(json.dumps(model_to_json(m)))
+    code, doc = run_cli(capsys, "--quiet", "bound", "general",
+                        "--model", str(path))
+    assert code == 0
+    assert doc["soundness"] == "Exact"
+    assert doc["raw_value_bits"] == "inf"
+    assert doc["M0"] == 1
+    assert doc["diagnostics"] == {"mode": "interference_free_fallback"}
+    _, base = run_cli(capsys, "baseline", "int-free", "--model", str(path))
+    assert doc["value_bits"] == base["int_free_bits"] > 0.0
+
+
+VALID_MODEL = {"m_t": 1, "m_r": 1, "m_s": 1, "H": [[1.0]], "Q_s": [[1.0]],
+               "a_max": 1.0, "P": 1.0, "field": "real"}
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    dict(VALID_MODEL, a_max=None),
+    dict(VALID_MODEL, P=None),
+    dict(VALID_MODEL, field=3),
+    dict(VALID_MODEL, m_t=True),
+    dict(VALID_MODEL, P=True),
+    dict(VALID_MODEL, H=[[{}]]),
+    dict(VALID_MODEL, H=[["1.0"]]),
+    dict(VALID_MODEL, Q_s=[[[1.0, 0.0, 0.0]]]),
+    dict(VALID_MODEL, a_max=10 ** 400),
+    dict(VALID_MODEL, H=[[10 ** 400]]),
+    # json reads 1e400 as an infinite float, which int() cannot convert
+    json.dumps(VALID_MODEL).replace('"m_t": 1', '"m_t": 1e400'),
+], ids=["list", "null_cap", "null_power", "field_3", "bool_dim", "bool_power",
+        "dict_entry", "string_entry", "triple_entry", "huge_cap", "huge_entry",
+        "huge_dim"])
+def test_malformed_model_file_rejected(capsys, tmp_path, doc):
+    # each once exited 2 (TypeError, AttributeError, OverflowError) or was
+    # accepted (a bool, a string entry, a triple read as [re, im])
+    path = tmp_path / "model.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    rejects(capsys, "--quiet", "bound", "general", "--model", str(path))
+
+
+def test_model_path_is_a_directory(capsys, tmp_path):
+    rejects(capsys, "--quiet", "bound", "general", "--model", str(tmp_path))
+
+
+def test_sweep_out_is_a_file(capsys, tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("")
+    rejects(capsys, "--quiet", "sweep", "--snr-db", "10", "--inr-start", "0",
+            "--inr-stop", "1", "--step", "1", "--out", str(out))
 
 
 def test_bound_rank1_zero_snr_echoed_as_text(capsys):

@@ -319,6 +319,37 @@ def test_capacity_dead_channel():
     assert rep.value_bits == 0.0
 
 
+# (H scale, a_max, P) of each case that needs no search; H is all ones
+NO_SEARCH_CASES = {
+    "zero_power": (1.0, 1.0, 0.0),
+    "zero_channel": (0.0, 1.0, 1.0),
+    "tiny_channel": (1e-10, 1.0, 1.0),   # the capacity underflows to 0
+    "zero_cap": (1.0, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_SEARCH_CASES))
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("m_t, m_r", [(1, 1), (1, 3), (3, 1), (2, 2), (3, 2)])
+def test_no_search_cases_are_exact_at_every_dimension(m_t, m_r, field, case):
+    scale, a_max, P = NO_SEARCH_CASES[case]
+    H = scale * np.ones((m_r, m_t)) * (1.0 + 1j if field == "complex" else 1.0)
+    m = validate_model(m_t, m_r, 2, H, np.diag([2.0, 1.0]), a_max, P, field)
+    m_star = min(m_t, m_r)
+    for rank, rep in ((1, capacity_upper_bound(m)),
+                      (m_star, outer_sup(m, m_star)),
+                      (m_star, capacity_upper_bound(
+                          m, SearchConfig(ranks=range(m_star, 0, -1))))):
+        assert rep.soundness is Soundness.EXACT
+        if case == "zero_cap":
+            assert rep.diagnostics == {"mode": "interference_free_fallback"}
+            assert rep.value_bits == interference_free_capacity(m) > 0.0
+            assert (rep.raw_value_bits, rep.M0) == (math.inf, rank)
+        else:
+            assert rep.diagnostics == {"mode": "dead_channel"}
+            assert (rep.value_bits, rep.raw_value_bits, rep.M0) == (0.0, 0.0, 0)
+
+
 def test_report_invariants(rng):
     for _ in range(10):
         m = rand_model(rng)

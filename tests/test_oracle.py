@@ -4,20 +4,26 @@ import numpy as np
 import pytest
 
 from dpbound import (
+    AdversaryFamily,
+    GroupPartition,
     brute_force_inner_inf,
+    build_family,
     cross_check_rank1,
     inner_inf,
     logdet_concavity_check,
     run_equivalence_suite,
+    signal_subspace,
     validate_model,
+    whiten_state,
 )
-from dpbound.errors import InfeasiblePsi, NotRankOne, TooLarge
+from dpbound.errors import InfeasiblePsi, NotRankOne, RankZeroSignal, TooLarge
 from dpbound.oracle import (
     SEED_LADDER,
     concavity_trials,
     concavity_verdicts,
     feasible_concavity_pairs,
     fixed_equivalence_suite,
+    witness_value,
 )
 
 from conftest import rand_psd
@@ -48,6 +54,22 @@ def test_brute_force_matches_aligned_two_state_dims():
     _, aligned = inner_inf(m, Q)
     brute = brute_force_inner_inf(m, Q, 4096)
     assert aligned == pytest.approx(brute, abs=1e-4)
+
+
+def test_rank_zero_signal_raises_one_exception():
+    m = validate_model(2, 2, 1, np.eye(2), [[1.0]], 1.0, 1.0)
+    Q = np.zeros((2, 2))
+    sub = signal_subspace(m.H, Q)
+    assert sub.M0 == 0
+    with pytest.raises(RankZeroSignal):
+        inner_inf(m, Q)
+    with pytest.raises(RankZeroSignal):
+        build_family(m, sub, whiten_state(m.Q_s), GroupPartition(groups=((0,),)))
+    with pytest.raises(RankZeroSignal):
+        brute_force_inner_inf(m, Q, 100)
+    fam = AdversaryFamily(members=(), group_map=(), M0=0, a_max=1.0, subspace=sub)
+    with pytest.raises(RankZeroSignal):
+        witness_value(m, Q, fam)
 
 
 def test_brute_force_guard():

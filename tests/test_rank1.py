@@ -15,7 +15,7 @@ from dpbound import (
     rank_one_bound,
     validate_model,
 )
-from dpbound.errors import NegativeParameter, NonFinite, NotRankOne, ZeroAmax
+from dpbound.errors import NegativeParameter, NonFinite, NotRankOne
 
 P15 = 10.0 ** 1.5
 
@@ -45,9 +45,10 @@ def test_bound_two_state_dims():
     assert rank_one_bound(inp) == pytest.approx(closed_form(P15, [10.0, 100.0], 0.5))
 
 
-def test_zero_cap_rejected():
-    with pytest.raises(ZeroAmax):
-        rank_one_bound(Rank1Inputs(1.0, (1.0,), 0.0, 0.5))
+def test_zero_cap_gives_infinite_bound():
+    # the limit as the cap falls to zero, as for a cap whose square underflows
+    assert rank_one_bound(Rank1Inputs(1.0, (1.0,), 0.0, 0.5)) == math.inf
+    assert rank_one_bound(Rank1Inputs(P15, (4.0, 1.0), 0.0, 1.0)) == math.inf
 
 
 def test_underflowing_cap_gives_infinite_bound():
@@ -121,11 +122,16 @@ def test_gap_bound_formula():
 def test_gap_certificate_underflowing_cap_does_not_apply():
     cert = prelog_gap_certificate(Rank1Inputs(P15, (1.0, 2.0), 1e-170, 0.5))
     assert cert == {"applies": False, "gap_bound": pytest.approx(1.0 / 3.0)}
+    cert = prelog_gap_certificate(Rank1Inputs(P15, (1.0, 2.0), 0.0, 0.5))
+    assert cert == {"applies": False, "gap_bound": pytest.approx(1.0 / 3.0)}
 
 
-def test_gap_certificate_needs_finite_cap():
-    with pytest.raises(ZeroAmax):
-        prelog_gap_certificate(Rank1Inputs(1.0, (1.0,), math.inf, 0.5))
+def test_gap_certificate_applies_at_unbounded_cap():
+    # the bound is the prelog value there: a gap of exactly 0
+    inp = Rank1Inputs(1.0, (1.0, 2.0), math.inf, 0.5)
+    assert prelog_gap_certificate(inp) == {"applies": True,
+                                           "gap_bound": pytest.approx(1.0 / 3.0)}
+    assert rank_one_bound(inp) == prelog_reference(inp)
 
 
 @settings(max_examples=300, derandomize=True)
