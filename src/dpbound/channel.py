@@ -28,7 +28,6 @@ from .errors import (
     InfeasibleFamily,
     NegativeParameter,
     NonFinite,
-    NonpositiveVariance,
     NotPSD,
     PartitionMismatch,
     QsRankDeficient,
@@ -137,8 +136,9 @@ def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
 
     ``Q_s`` is symmetrized before any check.  Raises ``DimensionMismatch``,
     ``NotPSD``, ``QsRankDeficient``, ``NegativeParameter``, ``NonFinite``
-    (NaN or inf in ``H`` or ``Q_s``, ``P = inf``, or an overflowing
-    ``P ||H||_F^2`` or finite-cap ``a_max^2 lambda_max(Q_s)``; ``a_max = inf``
+    (NaN or inf in ``H`` or ``Q_s``, ``P = inf``, a ``P`` or ``a_max`` too
+    large for a float, or an overflowing ``P ||H||_F^2`` or finite-cap
+    ``a_max^2 lambda_max(Q_s)``; ``a_max = inf``
     and underflowing caps are legal) or ``FieldMismatch`` (unknown field too).
     Validation is idempotent: feeding an accepted model's fields back
     returns an equal model.
@@ -152,12 +152,12 @@ def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
         if not (isinstance(dim, numbers.Real) and dim == dim // 1 >= 1):
             raise NegativeParameter(f"{name} must be a positive integer, got {dim}")
     m_t, m_r, m_s = int(m_t), int(m_r), int(m_s)
-    P = float(P)
+    P = float(_to_float(P, "P"))
     if not P >= 0.0:
         raise NegativeParameter(f"P must be nonnegative, got {P}")
     if math.isinf(P):
         raise NonFinite("P must be finite, got inf")
-    a_max = float(a_max)
+    a_max = float(_to_float(a_max, "a_max"))
     if math.isnan(a_max) or a_max < 0.0:
         raise NegativeParameter(f"a_max must be in [0, inf], got {a_max}")
 
@@ -211,16 +211,13 @@ def db_to_power(db: float, name: str) -> float:
         raise NonFinite(f"{name} of {db} dB overflows a float") from None
 
 
-def inr_to_amax(inr_db: float, state_variance: float) -> float:
+def inr_to_amax(inr_db: float) -> float:
     """Map a worst-case INR (dB) onto the amplification cap.
 
-    For scalar unit-gain reception the worst-case interference power is
-    a_max^2 * v, so INR = a_max^2 * v / 1 and a_max = sqrt(10^(INR/10) / v).
+    For scalar unit-gain reception of a unit-variance state the worst-case
+    interference power is a_max^2, so a_max = sqrt(10^(INR/10)).
     """
-    v = float(state_variance)
-    if not v > 0.0:
-        raise NonpositiveVariance(f"state variance must be positive, got {v}")
-    return math.sqrt(db_to_power(inr_db, "INR") / v)
+    return math.sqrt(db_to_power(inr_db, "INR"))
 
 
 def _json_safe(x):

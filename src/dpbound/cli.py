@@ -45,7 +45,7 @@ def _cmd_bound_rank1(args) -> int:
         raise TooLarge(f"--ms {args.ms} exceeds {MAX_RANK1_STATE_DIM}")
     P = db_to_power(args.snr_db, "SNR")
     field = FieldKind(args.field)
-    a_max = inr_to_amax(args.inr_db, 1.0)
+    a_max = inr_to_amax(args.inr_db)
     inputs = Rank1Inputs(h_norm_sq_P=P, v=(1.0,) * args.ms, a_max=a_max,
                          kappa=field.kappa)
     raw = rank_one_bound(inputs)

@@ -37,10 +37,6 @@ class InfeasibleFamily(DirtyPaperError):
     """An adversary family breaks the cap or orthogonality certificates."""
 
 
-class NonpositiveVariance(DirtyPaperError):
-    """State variance must be strictly positive."""
-
-
 class PartitionMismatch(DirtyPaperError):
     """A coordinate partition is inconsistent with the rank/dimensions in play."""
 

@@ -29,11 +29,12 @@ import numpy as np
 
 from .adversary import GroupPartition, build_family, enumerate_partitions, objective
 from .baselines import water_filling
-from .channel import (RANK_TOL, AdversaryFamily, ChannelModel, _hermitize,
-                      _json_safe, _matrix_to_json)
+from .channel import (AdversaryFamily, ChannelModel, _hermitize, _json_safe,
+                      _matrix_to_json)
 from .errors import NegativeParameter, RankZeroSignal
 from .rank1 import rank1_inputs_from_model, rank_one_bound
-from .spectral import signal_subspace, whiten_state
+from .spectral import (SignalSubspace, factor_subspace, psd_factor,
+                       signal_spectrum, signal_subspace, whiten_state)
 
 
 class Soundness(enum.Enum):
@@ -47,11 +48,18 @@ class SearchConfig:
 
     Restart r at rank target t draws from the fixed stream
     ``default_rng([0, t, r])``, so equal settings give equal bounds.
+    Negative ``restarts`` or ``max_iters`` raise ``NegativeParameter``.
     """
 
     restarts: int = 16
     max_iters: int = 500
     ranks: tuple | range | None = None     # signal ranks to try; None = all
+
+    def __post_init__(self):
+        for name in ("restarts", "max_iters"):
+            if getattr(self, name) < 0:
+                raise NegativeParameter(
+                    f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,18 @@ def _best_partition(parts, lam, v, a_max: float, m_s: int,
     return best_part, best_val
 
 
+def _witness(model: ChannelModel,
+             sub: SignalSubspace) -> tuple[AdversaryFamily, float]:
+    """The aligned family of least ``objective`` on ``sub``, and that value."""
+    if sub.M0 == 0:
+        raise RankZeroSignal("H Q_x H^dagger is numerically zero")
+    white = whiten_state(model.Q_s)
+    part, value = _best_partition(enumerate_partitions(model.m_s, sub.M0),
+                                  sub.spectrum.tolist(), white.eigvals.tolist(),
+                                  model.a_max, model.m_s, model.field.kappa)
+    return build_family(model, sub, white, part), value
+
+
 def inner_inf(model: ChannelModel, Q_x) -> tuple[AdversaryFamily, float]:
     """Minimize the objective over aligned families at the full cap.
 
@@ -108,22 +128,7 @@ def inner_inf(model: ChannelModel, Q_x) -> tuple[AdversaryFamily, float]:
     value, +inf (only m_s < M0, with no full group, stays finite);
     callers fall back to the interference-free capacity.
     """
-    sub = signal_subspace(model.H, Q_x)
-    if sub.M0 == 0:
-        raise RankZeroSignal("H Q_x H^dagger is numerically zero")
-    white = whiten_state(model.Q_s)
-    part, value = _best_partition(enumerate_partitions(model.m_s, sub.M0),
-                                  sub.spectrum.tolist(), white.eigvals.tolist(),
-                                  model.a_max, model.m_s, model.field.kappa)
-    return build_family(model, sub, white, part), value
-
-
-def _spectrum_of(H: np.ndarray, F: np.ndarray) -> np.ndarray:
-    s = np.linalg.svd(H @ F, compute_uv=False)
-    lam = s * s
-    if lam.size == 0 or lam[0] <= 0.0:
-        return lam[:0]
-    return lam[lam > RANK_TOL * lam[0]]
+    return _witness(model, signal_subspace(model.H, Q_x))
 
 
 def _coordinate_ascent(value, F0: np.ndarray, P: float,
@@ -198,12 +203,15 @@ def outer_sup(model: ChannelModel, M0_target: int,
     P (the objective never decreases when the signal block grows, so full
     power is optimal).  A case that needs no search returns its ``Exact``
     report.  Each ascent step evaluates ``adversary.objective`` over the
-    candidate partitions (memoised per signal rank) at the spectrum of H F,
-    and the reported value is ``inner_inf`` at the best covariance found.
-    The report's ``M0`` is the rank of that covariance's witness; it can
-    fall below ``diagnostics["target_rank"]``.  ``diagnostics["inner_method"]``
-    is ``"exact"`` (the inner minimum is over all aligned families), or
-    null if the search ends at rank 0.
+    candidate partitions (memoised per signal rank) at
+    ``spectral.signal_spectrum`` of H F.  The witness is built on
+    ``spectral.factor_subspace`` of the best factor, so the reported raw
+    value is the best value the search evaluated and ``M0`` is the rank it
+    was scored at; it can fall below ``diagnostics["target_rank"]``.  The
+    water-filling covariance is a start only when its signal rank is
+    ``M0_target``.  ``diagnostics["inner_method"]`` is ``"exact"`` (the
+    inner minimum is over all aligned families), or null if the search
+    ends at rank 0.
     """
     search = search or SearchConfig()
     m_star = min(model.m_t, model.m_r)
@@ -222,7 +230,7 @@ def outer_sup(model: ChannelModel, M0_target: int,
 
     def value(F):
         """The inner minimum at covariance F F^dagger."""
-        lam = _spectrum_of(H, F).tolist()
+        lam = signal_spectrum(H @ F).tolist()
         if not lam:
             return 0.0
         return _best_partition(enumerate_partitions(m_s, len(lam)), lam, v,
@@ -230,24 +238,24 @@ def outer_sup(model: ChannelModel, M0_target: int,
 
     dtype = complex if np.iscomplexobj(H) else float
 
-    seeds = []
     _, _, Vh = np.linalg.svd(H)
-    F_svd = Vh.conj().T[:, :M0_target].astype(dtype) * math.sqrt(P / M0_target)
-    seeds.append(F_svd)
-    w, V = np.linalg.eigh(Q_wf)
-    active = w > 1e-12 * max(float(w[-1]), 1e-300)
-    if int(np.count_nonzero(active)) == M0_target:
-        seeds.append((V[:, active] * np.sqrt(w[active])).astype(dtype))
-    rng_count = max(search.restarts - len(seeds), 0)
-    for r in range(rng_count):
-        rng = np.random.default_rng([0, M0_target, r])
-        F = rng.standard_normal((model.m_t, M0_target))
-        if dtype is complex:
-            F = F + 1j * rng.standard_normal((model.m_t, M0_target))
-        seeds.append(F.astype(dtype))
+    fixed = [Vh.conj().T[:, :M0_target].astype(dtype) * math.sqrt(P / M0_target)]
+    F_wf = psd_factor(Q_wf)
+    if signal_spectrum(H @ F_wf).size == M0_target:
+        fixed.append(F_wf[:, -M0_target:].astype(dtype))
+
+    def starts():
+        """The fixed starts, then each random start drawn when it is due."""
+        yield from fixed
+        for r in range(search.restarts - len(fixed)):
+            rng = np.random.default_rng([0, M0_target, r])
+            F = rng.standard_normal((model.m_t, M0_target))
+            if dtype is complex:
+                F = F + 1j * rng.standard_normal((model.m_t, M0_target))
+            yield F.astype(dtype)
 
     best_F, best_val, total_iters, exhausted = None, -math.inf, 0, False
-    for F0 in seeds:
+    for n_starts, F0 in enumerate(starts(), 1):
         F, val, iters, flag = _coordinate_ascent(value, F0, P, search.max_iters)
         total_iters += iters
         exhausted = exhausted or flag
@@ -256,7 +264,7 @@ def outer_sup(model: ChannelModel, M0_target: int,
 
     Q_best = _hermitize(best_F @ best_F.conj().T)
     try:
-        fam, raw = inner_inf(model, Q_best)
+        fam, raw = _witness(model, factor_subspace(H, best_F))
     except RankZeroSignal:
         raw, M0, group_map, inner_method = 0.0, 0, (), None
     else:
@@ -265,7 +273,7 @@ def outer_sup(model: ChannelModel, M0_target: int,
         "mode": "multistart_ascent",
         "target_rank": M0_target,
         "inner_method": inner_method,
-        "restarts": len(seeds),
+        "restarts": n_starts,
         "iterations": total_iters,
         "budget_exhausted": exhausted,
         "best_Q_x": _matrix_to_json(Q_best),

@@ -2,8 +2,8 @@
 
 Rank detection, signal-subspace extraction, state whitening and base-2
 log-determinants.  Everything here is a pure function over small dense
-matrices (dimensions of order ten), so eigendecompositions are the
-factorization of choice; raw determinants are never formed.  The one
+matrices (dimensions of order ten); raw determinants are never formed.
+The one rule for the signal rank is :func:`signal_spectrum`, and the one
 rule for when a log-det is -inf is :func:`logdet_eigvals`.
 """
 
@@ -22,14 +22,13 @@ from .errors import NotSquare, QsRankDeficient
 class SignalSubspace:
     """Orthonormal basis of the column space of H Q_x H^dagger.
 
-    ``U`` has shape (M0, m_r) with orthonormal rows: the rows are the
-    eigenvectors carrying the positive part of the received-signal
-    spectrum, sorted by descending eigenvalue.
+    ``U`` has shape (M0, m_r) with orthonormal rows: the left singular
+    vectors of H F carrying the signal spectrum, in the same order.
     """
 
     M0: int
     U: np.ndarray
-    spectrum: np.ndarray  # the M0 positive eigenvalues, descending
+    spectrum: np.ndarray  # the M0 kept signal eigenvalues, descending
 
 
 @dataclass(frozen=True)
@@ -40,21 +39,49 @@ class WhitenedState:
     eigvals: np.ndarray   # positive, descending
 
 
+def signal_spectrum(HF) -> np.ndarray:
+    """The signal spectrum of Q_x = F F^dagger from the product H F.
+
+    The one signal-rank rule: the squared singular values of H F, kept
+    when above ``RANK_TOL`` times the largest (none for a numerically zero
+    H F), descending.  Its length is the signal rank M0.
+    """
+    s = np.linalg.svd(HF, compute_uv=False)
+    lam = s * s
+    if lam.size == 0 or lam[0] <= 0.0:
+        return lam[:0]
+    return lam[lam > RANK_TOL * lam[0]]
+
+
+def factor_subspace(H, F) -> SignalSubspace:
+    """The message-bearing subspace of Q_x = F F^dagger.
+
+    The spectrum is :func:`signal_spectrum`, so a search that scores F
+    and the witness built here read the same numbers; the basis is the
+    matching left singular vectors of the same product H F.
+    """
+    HF = np.asarray(H) @ np.asarray(F)
+    lam = signal_spectrum(HF)
+    U = np.linalg.svd(HF, full_matrices=False)[0][:, :lam.size].conj().T
+    return SignalSubspace(M0=lam.size, U=_freeze(U), spectrum=_freeze(lam))
+
+
+def psd_factor(Q) -> np.ndarray:
+    """A factor F with F F^dagger = Q for PSD ``Q``: its eigenvectors
+    scaled by the root eigenvalues, ascending, with negative rounding
+    clipped to zero."""
+    w, V = np.linalg.eigh(_hermitize(np.asarray(Q)))
+    return V * np.sqrt(np.clip(w, 0.0, None))
+
+
 def signal_subspace(H, Q_x) -> SignalSubspace:
     """Extract the message-bearing subspace of the receive space.
 
-    ``M0`` counts the eigenvalues of H Q_x H^dagger above ``RANK_TOL``
-    times the largest (0 for a numerically zero matrix).
+    ``Q_x`` is factored by :func:`psd_factor` and the factor passed to
+    :func:`factor_subspace`, so ``M0`` follows the rule of
+    :func:`signal_spectrum`.
     """
-    H = np.asarray(H)
-    G = _hermitize(H @ np.asarray(Q_x) @ H.conj().T)
-    w, V = np.linalg.eigh(G)
-    w = w[::-1]
-    V = V[:, ::-1]
-    top = float(w[0])
-    M0 = 0 if top <= 0.0 else int(np.count_nonzero(w > RANK_TOL * top))
-    U = V[:, :M0].conj().T
-    return SignalSubspace(M0=M0, U=_freeze(U), spectrum=_freeze(w[:M0].copy()))
+    return factor_subspace(H, psd_factor(Q_x))
 
 
 def whiten_state(Q_s) -> WhitenedState:

@@ -93,7 +93,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     P = db_to_power(spec.snr_db, "SNR")
     kappa = spec.field.kappa
     grid = spec.grid()
-    a_max_top = inr_to_amax(grid[-1], 1.0)
+    a_max_top = inr_to_amax(grid[-1])
     validate_model(1, 1, 1, [[1.0]], [[1.0]], a_max_top, P, spec.field)
     int_free = kappa * math.log2(1.0 + P)
     half_if = prelog_reference(Rank1Inputs(h_norm_sq_P=P, v=(1.0,),
@@ -101,7 +101,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     want = set(spec.traces)
     rows = []
     for inr_db in grid:
-        a_max = inr_to_amax(inr_db, 1.0)
+        a_max = inr_to_amax(inr_db)
         row = {"inr_db": inr_db}
         if "bound" in want:
             raw = rank_one_bound(Rank1Inputs(h_norm_sq_P=P, v=(1.0,),

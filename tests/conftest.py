@@ -20,8 +20,8 @@ BIG_CAP_MODEL = {
 
 
 # A 3x3, m_s = 1 model (a benchmark pool model) on which the rank-3 search
-# at restarts=2, max_iters=40 ends on a covariance of signal rank 2: the
-# ascent's own rank cut counts a third mode that ``signal_subspace`` drops.
+# at restarts=2, max_iters=40 ends on a covariance whose third signal mode
+# sits just above the rank cut: a rank rule with other numerics drops it.
 WITNESS_RANK_MODEL = {
     "m_t": 3, "m_r": 3, "m_s": 1,
     "H": [[-0.23487183196581754, 0.20216736698145094, -0.6732706178811384],

@@ -270,7 +270,7 @@ def model_path_sweep(spec) -> tuple:
     rows = []
     want = set(spec.traces)
     for inr_db in spec.grid():
-        a_max = inr_to_amax(inr_db, 1.0)
+        a_max = inr_to_amax(inr_db)
         model = validate_model(1, 1, 1, [[1.0]], [[1.0]], a_max, P, spec.field)
         row = {"inr_db": inr_db}
         int_free = interference_free_capacity(model)

@@ -17,7 +17,6 @@ from dpbound.errors import (
     FieldMismatch,
     NegativeParameter,
     NonFinite,
-    NonpositiveVariance,
     NotPSD,
     QsRankDeficient,
 )
@@ -98,6 +97,17 @@ def test_overflowing_powers_rejected(field):
         validate_model(2, 2, 2, I2, 1e200 * I2, 1e100, 10.0, field)
 
 
+def test_huge_integer_power_rejected():
+    # an int past the float range is NonFinite, not a raw OverflowError
+    with pytest.raises(NonFinite, match="P overflows a float"):
+        validate_model(1, 1, 1, [[1.0]], [[1.0]], 1.0, 10**400)
+
+
+def test_huge_integer_cap_rejected():
+    with pytest.raises(NonFinite, match="a_max overflows a float"):
+        validate_model(1, 1, 1, [[1.0]], [[1.0]], 10**400, 1.0)
+
+
 def test_unbounded_and_underflowing_caps_legal():
     I2 = np.eye(2)
     assert math.isinf(validate_model(2, 2, 2, I2, 1e200 * I2, math.inf, 10.0).a_max)
@@ -137,24 +147,22 @@ def test_model_is_immutable():
 
 
 def test_inr_to_amax_values():
-    assert inr_to_amax(40.0, 1.0) == pytest.approx(100.0, rel=1e-12)
-    assert inr_to_amax(0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-    assert inr_to_amax(10.0, 4.0) == pytest.approx(math.sqrt(2.5), rel=1e-12)
-    with pytest.raises(NonpositiveVariance):
-        inr_to_amax(0.0, 0.0)
+    assert inr_to_amax(40.0) == pytest.approx(100.0, rel=1e-12)
+    assert inr_to_amax(0.0) == pytest.approx(1.0, rel=1e-12)
+    assert inr_to_amax(10.0) == pytest.approx(math.sqrt(10.0), rel=1e-12)
     # an overflowing power is rejected; infinite dB is an unbounded cap
-    assert inr_to_amax(3080.0, 1.0) == pytest.approx(1e154, rel=1e-12)
+    assert inr_to_amax(3080.0) == pytest.approx(1e154, rel=1e-12)
     with pytest.raises(NonFinite, match="INR of 3090.0 dB overflows a float"):
-        inr_to_amax(3090.0, 1.0)
-    assert inr_to_amax(math.inf, 1.0) == math.inf
-    assert inr_to_amax(-4000.0, 1.0) == inr_to_amax(-math.inf, 1.0) == 0.0
+        inr_to_amax(3090.0)
+    assert inr_to_amax(math.inf) == math.inf
+    assert inr_to_amax(-4000.0) == inr_to_amax(-math.inf) == 0.0
 
 
 @settings(max_examples=200, derandomize=True)
-@given(inr=st.floats(-60.0, 60.0), v=st.floats(1e-3, 1e3))
-def test_inr_round_trip(inr, v):
-    a = inr_to_amax(inr, v)
-    assert a * a * v == pytest.approx(10.0 ** (inr / 10.0), rel=1e-12)
+@given(inr=st.floats(-60.0, 60.0))
+def test_inr_round_trip(inr):
+    a = inr_to_amax(inr)
+    assert a * a == pytest.approx(10.0 ** (inr / 10.0), rel=1e-12)
 
 
 def test_json_round_trip(tmp_path):

@@ -281,6 +281,12 @@ def test_non_finite_model_rejected(capsys, tmp_path, field, value):
     assert "converge" not in err and "LinAlgError" not in err
 
 
+def test_bound_general_rejects_negative_restarts(capsys, scalar_model_file):
+    err = rejects(capsys, "--quiet", "bound", "general", "--model",
+                  scalar_model_file, "--restarts=-5")
+    assert "restarts must be nonnegative, got -5" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--snr-db", "nan", "--inr-db", "40", "--ms", "1"],
     ["--snr-db", "15", "--inr-db", "nan", "--ms", "1"],

@@ -26,7 +26,9 @@ from dpbound import (
 )
 from dpbound.errors import NegativeParameter, PartitionMismatch, RankZeroSignal
 from dpbound.channel import _matrix_from_json
-from dpbound.general import _best_partition, _spectrum_of
+import dpbound.general
+from dpbound.general import _best_partition
+from dpbound.spectral import factor_subspace, signal_spectrum
 from dpbound.oracle import witness_tolerance, witness_value
 
 from conftest import WITNESS_RANK_MODEL, rand_model, rand_psd
@@ -428,8 +430,9 @@ def test_limit_approached_from_above():
 
 
 def test_fast_evaluator_matches_matrix_path(rng):
-    # an ascent step's value (the SVD spectrum of H F, minimised over the
-    # candidates) against inner_inf at F F^T and its witness's matrix value
+    # an ascent step's value (the signal spectrum of H F, minimised over
+    # the candidates) against inner_inf at F F^T and its witness's matrix
+    # value
     for _ in range(20):
         m = rand_model(rng, complex_ok=False)
         if m.a_max == 0 or m.P == 0:
@@ -437,7 +440,8 @@ def test_fast_evaluator_matches_matrix_path(rng):
         k = int(rng.integers(1, min(m.m_t, m.m_r) + 1))
         F = rng.standard_normal((m.m_t, k))
         F *= math.sqrt(m.P) / np.linalg.norm(F)
-        lam = _spectrum_of(m.H, F).tolist()
+        lam = signal_spectrum(m.H @ F).tolist()
+        assert lam == factor_subspace(m.H, F).spectrum.tolist()
         try:
             fam, slow = inner_inf(m, F @ F.T)
         except RankZeroSignal:
@@ -568,16 +572,84 @@ def test_empty_rank_tuple_rejected():
         capacity_upper_bound(m, SearchConfig(ranks=()))
 
 
+@pytest.mark.parametrize("field", ["restarts", "max_iters"])
+def test_negative_search_settings_rejected(field):
+    with pytest.raises(NegativeParameter, match=field):
+        SearchConfig(**{field: -3})
+    m = validate_model(2, 2, 1, np.eye(2), [[1.0]], 2.0, 4.0)
+    rep = outer_sup(m, 2, SearchConfig(**{field: 0, "ranks": (2,)}))
+    assert math.isfinite(rep.raw_value_bits)
+
+
+def test_random_starts_drawn_when_due(monkeypatch):
+    # each random start is drawn just before its ascent, not all up front
+    class Stop(Exception):
+        pass
+
+    log = []
+    real_rng, real_ascent = np.random.default_rng, dpbound.general._coordinate_ascent
+
+    def rng(seed):
+        log.append("draw")
+        return real_rng(seed)
+
+    def ascent(*args):
+        log.append("ascent")
+        if log.count("ascent") == 4:
+            raise Stop
+        return real_ascent(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    monkeypatch.setattr(dpbound.general, "_coordinate_ascent", ascent)
+    m = validate_model(2, 2, 1, np.eye(2), [[1.0]], 2.0, 4.0)
+    with pytest.raises(Stop):
+        outer_sup(m, 1, SearchConfig(restarts=1000, max_iters=2))
+    # one fixed start (the SVD one; water-filling has rank 2), then draws
+    assert log == ["ascent"] + ["draw", "ascent"] * 3
+
+
 def _witness_rank(model, rep) -> int:
     Q = _matrix_from_json(rep.diagnostics["best_Q_x"], "best_Q_x")
     return signal_subspace(model.H, Q).M0
 
 
 def test_reported_rank_is_witness_rank():
+    # the best covariance's third mode sits just above the cut
+    # (lambda_3 / lambda_1 = 1.0000000274e-9 by the SVD of H F); the report
+    # keeps the rank and the value the search scored it at
     m = model_from_json(WITNESS_RANK_MODEL)
     rep = outer_sup(m, 3, SearchConfig(restarts=2, max_iters=40))
-    assert rep.M0 == _witness_rank(m, rep) == 2
+    assert rep.M0 == _witness_rank(m, rep) == 3
     assert rep.diagnostics["target_rank"] == 3
+    assert rep.raw_value_bits == 2.6775936591791627
+    assert rep.value_bits == 1.3246336598660542
+
+
+def test_reported_raw_is_best_evaluated_value(monkeypatch):
+    # the witness reads the spectrum the ascent scored: raw is the largest
+    # value any ascent returned, and M0 is that spectrum's length
+    returned = []
+    real = dpbound.general._coordinate_ascent
+
+    def spy(value, F0, P, max_iters):
+        out = real(value, F0, P, max_iters)
+        returned.append((out[1], out[0]))
+        return out
+
+    monkeypatch.setattr(dpbound.general, "_coordinate_ascent", spy)
+    rng = np.random.default_rng(20130519)
+    checked = 0
+    while checked < 12:
+        m = rand_model(rng)
+        if min(m.m_t, m.m_r) < 2 or m.a_max == 0:
+            continue
+        for t in range(1, min(m.m_t, m.m_r) + 1):
+            returned.clear()
+            rep = outer_sup(m, t, SearchConfig(restarts=3, max_iters=20))
+            best, best_F = max(returned, key=lambda r: r[0])
+            assert rep.raw_value_bits == best
+            assert rep.M0 == signal_spectrum(m.H @ best_F).size
+        checked += 1
 
 
 def test_reported_rank_is_witness_rank_random(rng):

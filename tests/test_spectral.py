@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpbound import signal_subspace, whiten_state
 from dpbound.errors import NotSquare, QsRankDeficient
-from dpbound.spectral import logdet_psd
+from dpbound.spectral import logdet_psd, signal_spectrum
 
 from conftest import rand_psd
 from reference_oracles import logdet_ratio, single_logdet_psd
@@ -68,6 +68,36 @@ def test_subspace_invariants(rng):
             # projector idempotence and span containment
             assert np.linalg.norm(Pr @ Pr - Pr) <= 1e-10
             assert np.linalg.norm(G - Pr @ G @ Pr) <= 1e-8 * (1 + np.linalg.norm(G))
+
+
+def test_signal_subspace_is_the_factor_rule(rng):
+    # signal_subspace(H, F F^dagger) factors the covariance again; away
+    # from the cut it finds the rank and spectrum of the rule on F itself
+    compared = 0
+    for _ in range(200):
+        n_r, n_t = (int(n) for n in rng.integers(1, 5, size=2))
+        k = int(rng.integers(1, n_t + 1))
+        H = rng.standard_normal((n_r, n_t))
+        F = rng.standard_normal((n_t, k))
+        if rng.integers(2):
+            H = H + 1j * rng.standard_normal((n_r, n_t))
+            F = F + 1j * rng.standard_normal((n_t, k))
+        want = signal_spectrum(H @ F)
+        if want[-1] < 1e-3 * want[0]:
+            continue
+        sub = signal_subspace(H, F @ F.conj().T)
+        assert sub.M0 == want.size == min(n_r, k)
+        assert sub.spectrum == pytest.approx(want, rel=1e-12, abs=0)
+        compared += 1
+    assert compared >= 100
+
+
+def test_negative_rounding_eigenvalue_is_clipped():
+    Q = np.diag([2.0, -1e-18])
+    sub = signal_subspace(np.eye(2), Q)
+    assert sub.M0 == 1
+    assert sub.spectrum == pytest.approx([2.0], rel=1e-15)
+    assert np.isfinite(sub.U).all()
 
 
 def test_whiten_diagonal():
