@@ -40,7 +40,7 @@ import numpy as np
 
 from .channel import AdversaryFamily, ChannelModel, _freeze
 from .errors import PartitionMismatch, RankZeroSignal
-from .spectral import SignalSubspace, WhitenedState
+from .spectral import SignalSubspace
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def enumerate_partitions(m_s: int, M0: int) -> tuple[GroupPartition, ...]:
     return tuple(out)
 
 
-def build_family(model: ChannelModel, sub: SignalSubspace, white: WhitenedState,
+def build_family(model: ChannelModel, sub: SignalSubspace,
                  part: GroupPartition) -> AdversaryFamily:
     """Construct the aligned family for one partition.
 
@@ -131,8 +131,8 @@ def build_family(model: ChannelModel, sub: SignalSubspace, white: WhitenedState,
     is_limit = math.isinf(model.a_max)
     cap = 1.0 if is_limit else model.a_max
 
-    v = np.asarray(white.eigvals)
-    E = np.asarray(white.eigvecs)
+    v = np.asarray(model.white.eigvals)
+    E = np.asarray(model.white.eigvecs)
     U = np.asarray(sub.U)
     whiten = E / np.sqrt(v)        # columns scaled: diag(v^{-1/2}) applied on the right
     members = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelModel, _hermitize
-from .spectral import signal_subspace, whiten_state
+from .spectral import signal_subspace
 
 
 def water_filling(model: ChannelModel) -> tuple[float, np.ndarray]:
@@ -73,7 +73,7 @@ def tin_worst_case(model: ChannelModel) -> float:
     """
     _, Q_wf = water_filling(model)
     sub = signal_subspace(model.H, Q_wf)
-    v = whiten_state(model.Q_s).eigvals[:sub.M0]
+    v = model.white.eigvals[:sub.M0]
     t = np.zeros(sub.M0)
     t[:len(v)] = (model.a_max * model.a_max) * v
     return model.field.kappa * float(np.sum(np.log2(1.0 + sub.spectrum / (1.0 + t))))

@@ -70,6 +70,35 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class WhitenedState:
+    """Eigendecomposition of the state covariance, eigenvalues descending."""
+
+    eigvecs: np.ndarray   # columns are eigenvectors (m_s x m_s unitary)
+    eigvals: np.ndarray   # positive, descending
+
+
+def whiten_state(Q_s) -> WhitenedState:
+    """One ``eigh`` of the Hermitian part of Q_s, sorted descending.
+
+    The one Q_s rule, kept by ``validate_model`` as ``ChannelModel.white``.
+    Raises ``QsRankDeficient`` for a largest eigenvalue that is not
+    positive, then ``NotPSD`` for a least one below ``-EPS_PSD`` times it
+    and ``QsRankDeficient`` for one at most ``RANK_TOL`` times it.
+    """
+    w, E = np.linalg.eigh(_hermitize(np.asarray(Q_s)))
+    w, E = w[::-1], E[:, ::-1]
+    top, low = float(w[0]), float(w[-1])
+    if top <= 0.0:
+        raise QsRankDeficient("Q_s is zero or negative semidefinite")
+    if low < -EPS_PSD * top:
+        raise NotPSD(f"Q_s has eigenvalue {low:g} below the PSD tolerance")
+    if low <= RANK_TOL * top:
+        raise QsRankDeficient(
+            f"Q_s eigenvalue {low:g} is below the rank tolerance; full rank required")
+    return WhitenedState(eigvecs=_freeze(E), eigvals=_freeze(w))
+
+
+@dataclass(frozen=True)
 class ChannelModel:
     """Validated channel instance.  Construct via :func:`validate_model`."""
 
@@ -81,6 +110,7 @@ class ChannelModel:
     a_max: float          # may be math.inf
     P: float
     field: FieldKind
+    white: WhitenedState = field(compare=False)   # whiten_state(Q_s)
 
 
 @dataclass(frozen=True)
@@ -125,7 +155,7 @@ class AdversaryFamily:
                     f"member {i} has singular value {smax:g} above the cap")
             for j in range(i):
                 cross = self.members[i] @ model.Q_s @ self.members[j].conj().T
-                if float(np.linalg.norm(cross)) > ORTHO_TOL * qs_scale:
+                if float(np.linalg.norm(cross / qs_scale)) > ORTHO_TOL:
                     raise InfeasibleFamily(
                         f"members {i},{j} are not Q_s-orthogonal")
 
@@ -134,8 +164,9 @@ def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
                    field: FieldKind | str = FieldKind.REAL) -> ChannelModel:
     """Validate a raw channel description and return an immutable model.
 
-    ``Q_s`` is symmetrized before any check.  Raises ``DimensionMismatch``,
-    ``NotPSD``, ``QsRankDeficient``, ``NegativeParameter``, ``NonFinite``
+    ``Q_s`` is symmetrized and passed to :func:`whiten_state` (``NotPSD``,
+    ``QsRankDeficient``), kept as ``white``.  Raises ``DimensionMismatch``,
+    ``NegativeParameter``, ``NonFinite``
     (NaN or inf in ``H`` or ``Q_s``, ``P = inf``, a ``P`` or ``a_max`` too
     large for a float, or an overflowing ``P ||H||_F^2`` or finite-cap
     ``a_max^2 lambda_max(Q_s)``; ``a_max = inf``
@@ -180,22 +211,15 @@ def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
         Q = np.real(Q).astype(float)
 
     Q = _hermitize(Q)
-    w = np.linalg.eigvalsh(Q)
-    top = float(w[-1])
-    if top <= 0.0:
-        raise QsRankDeficient("Q_s is zero or negative semidefinite")
-    if float(w[0]) < -EPS_PSD * top:
-        raise NotPSD(f"Q_s has eigenvalue {w[0]:g} below the PSD tolerance")
-    if float(w[0]) <= RANK_TOL * top:
-        raise QsRankDeficient(
-            f"Q_s eigenvalue {w[0]:g} is below the rank tolerance; full rank required")
+    white = whiten_state(Q)
+    top = float(white.eigvals[0])
     if not math.isfinite(P * float(np.vdot(H, H).real)):
         raise NonFinite("signal power P ||H||_F^2 overflows")
     if not math.isinf(a_max) and not math.isfinite(a_max * a_max * top):
         raise NonFinite("interference power a_max^2 lambda_max(Q_s) overflows")
 
     return ChannelModel(m_t=m_t, m_r=m_r, m_s=m_s, H=_freeze(H), Q_s=_freeze(Q),
-                        a_max=a_max, P=P, field=field)
+                        a_max=a_max, P=P, field=field, white=white)
 
 
 def db_to_power(db: float, name: str) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from .channel import (AdversaryFamily, ChannelModel, _hermitize, _json_safe,
 from .errors import NegativeParameter, RankZeroSignal
 from .rank1 import rank1_inputs_from_model, rank_one_bound
 from .spectral import (SignalSubspace, factor_subspace, psd_factor,
-                       signal_spectrum, signal_subspace, whiten_state)
+                       signal_spectrum, signal_subspace)
 
 
 class Soundness(enum.Enum):
@@ -48,7 +49,7 @@ class SearchConfig:
 
     Restart r at rank target t draws from the fixed stream
     ``default_rng([0, t, r])``, so equal settings give equal bounds.
-    Negative ``restarts`` or ``max_iters`` raise ``NegativeParameter``.
+    Settings that are not nonnegative integers raise ``NegativeParameter``.
     """
 
     restarts: int = 16
@@ -57,9 +58,11 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("restarts", "max_iters"):
-            if getattr(self, name) < 0:
-                raise NegativeParameter(
-                    f"{name} must be nonnegative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise NegativeParameter(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise NegativeParameter(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -109,11 +112,10 @@ def _witness(model: ChannelModel,
     """The aligned family of least ``objective`` on ``sub``, and that value."""
     if sub.M0 == 0:
         raise RankZeroSignal("H Q_x H^dagger is numerically zero")
-    white = whiten_state(model.Q_s)
     part, value = _best_partition(enumerate_partitions(model.m_s, sub.M0),
-                                  sub.spectrum.tolist(), white.eigvals.tolist(),
+                                  sub.spectrum.tolist(), model.white.eigvals.tolist(),
                                   model.a_max, model.m_s, model.field.kappa)
-    return build_family(model, sub, white, part), value
+    return build_family(model, sub, part), value
 
 
 def inner_inf(model: ChannelModel, Q_x) -> tuple[AdversaryFamily, float]:
@@ -209,9 +211,8 @@ def outer_sup(model: ChannelModel, M0_target: int,
     value is the best value the search evaluated and ``M0`` is the rank it
     was scored at; it can fall below ``diagnostics["target_rank"]``.  The
     water-filling covariance is a start only when its signal rank is
-    ``M0_target``.  ``diagnostics["inner_method"]`` is ``"exact"`` (the
-    inner minimum is over all aligned families), or null if the search
-    ends at rank 0.
+    ``M0_target``.  ``diagnostics["inner_method"]`` is ``"exact"``: the
+    inner minimum is over all aligned families.
     """
     search = search or SearchConfig()
     m_star = min(model.m_t, model.m_r)
@@ -225,7 +226,7 @@ def outer_sup(model: ChannelModel, M0_target: int,
 
     H = np.asarray(model.H)
     P = model.P
-    v = whiten_state(model.Q_s).eigvals.tolist()
+    v = model.white.eigvals.tolist()
     m_s, a_max, kappa = model.m_s, model.a_max, model.field.kappa
 
     def value(F):
@@ -262,25 +263,19 @@ def outer_sup(model: ChannelModel, M0_target: int,
         if val > best_val:
             best_F, best_val = F, val
 
-    Q_best = _hermitize(best_F @ best_F.conj().T)
-    try:
-        fam, raw = _witness(model, factor_subspace(H, best_F))
-    except RankZeroSignal:
-        raw, M0, group_map, inner_method = 0.0, 0, (), None
-    else:
-        M0, group_map, inner_method = fam.M0, fam.group_map, "exact"
+    fam, raw = _witness(model, factor_subspace(H, best_F))
     diagnostics = {
         "mode": "multistart_ascent",
         "target_rank": M0_target,
-        "inner_method": inner_method,
+        "inner_method": "exact",
         "restarts": n_starts,
         "iterations": total_iters,
         "budget_exhausted": exhausted,
-        "best_Q_x": _matrix_to_json(Q_best),
-        "partition": [list(g) for g in group_map],
+        "best_Q_x": _matrix_to_json(_hermitize(best_F @ best_F.conj().T)),
+        "partition": [list(g) for g in fam.group_map],
     }
     return BoundReport(value_bits=min(raw, if_cap), raw_value_bits=raw,
-                       M0=M0, kappa=model.field.kappa,
+                       M0=fam.M0, kappa=model.field.kappa,
                        soundness=Soundness.HEURISTIC_SUP,
                        diagnostics=diagnostics)
 

@@ -20,7 +20,7 @@ from .errors import (InfeasiblePsi, NotRankOne, PartitionMismatch, RankZeroSigna
                      TooLarge)
 from .general import inner_inf
 from .rank1 import rank1_inputs_from_model, rank_one_bound
-from .spectral import logdet_eigvals, logdet_psd, signal_subspace, whiten_state
+from .spectral import logdet_eigvals, logdet_psd, signal_subspace
 
 SEED_LADDER = tuple(range(10))
 
@@ -68,7 +68,7 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
 
     kappa = model.field.kappa
     lam = np.asarray(sub.spectrum)
-    v = np.asarray(whiten_state(model.Q_s).eigvals)
+    v = np.asarray(model.white.eigvals)
     R = int(grid_resolution)
     if model.a_max == 0.0:
         return math.inf

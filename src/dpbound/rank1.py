@@ -16,7 +16,6 @@ import numpy as np
 
 from .channel import ChannelModel
 from .errors import NegativeParameter, NonFinite, NotRankOne
-from .spectral import whiten_state
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,6 @@ def rank1_inputs_from_model(model: ChannelModel) -> Rank1Inputs:
     if model.m_t != 1 and model.m_r != 1:
         raise NotRankOne("closed form applies only when m_t = 1 or m_r = 1")
     h_norm_sq = float(np.linalg.norm(model.H) ** 2)
-    v = tuple(float(x) for x in whiten_state(model.Q_s).eigvals)
+    v = tuple(float(x) for x in model.white.eigvals)
     return Rank1Inputs(h_norm_sq_P=h_norm_sq * model.P, v=v,
                        a_max=model.a_max, kappa=model.field.kappa)

@@ -1,10 +1,11 @@
 """Numerically careful spectral primitives.
 
-Rank detection, signal-subspace extraction, state whitening and base-2
-log-determinants.  Everything here is a pure function over small dense
-matrices (dimensions of order ten); raw determinants are never formed.
-The one rule for the signal rank is :func:`signal_spectrum`, and the one
-rule for when a log-det is -inf is :func:`logdet_eigvals`.
+Rank detection, signal-subspace extraction and base-2 log-determinants,
+pure functions over small dense matrices (dimensions of order ten); raw
+determinants are never formed.  The one rule for the signal rank is
+:func:`signal_spectrum`, and the one rule for when a log-det is -inf is
+:func:`logdet_eigvals`.  ``whiten_state``, the one Q_s rule, lives in
+``channel`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RANK_TOL, _freeze, _hermitize
-from .errors import NotSquare, QsRankDeficient
+from .channel import RANK_TOL, WhitenedState, _freeze, _hermitize, whiten_state
+from .errors import NotSquare
 
 
 @dataclass(frozen=True)
@@ -29,14 +30,6 @@ class SignalSubspace:
     M0: int
     U: np.ndarray
     spectrum: np.ndarray  # the M0 kept signal eigenvalues, descending
-
-
-@dataclass(frozen=True)
-class WhitenedState:
-    """Eigendecomposition of the state covariance, eigenvalues descending."""
-
-    eigvecs: np.ndarray   # columns are eigenvectors (m_s x m_s unitary)
-    eigvals: np.ndarray   # positive, descending
 
 
 def signal_spectrum(HF) -> np.ndarray:
@@ -82,17 +75,6 @@ def signal_subspace(H, Q_x) -> SignalSubspace:
     :func:`signal_spectrum`.
     """
     return factor_subspace(H, psd_factor(Q_x))
-
-
-def whiten_state(Q_s) -> WhitenedState:
-    """Eigendecompose a full-rank PSD state covariance."""
-    Q = _hermitize(np.asarray(Q_s))
-    w, E = np.linalg.eigh(Q)
-    w = w[::-1]
-    E = E[:, ::-1]
-    if float(w[0]) <= 0.0 or float(w[-1]) <= RANK_TOL * float(w[0]):
-        raise QsRankDeficient("state covariance is rank deficient")
-    return WhitenedState(eigvecs=_freeze(E), eigvals=_freeze(w.copy()))
 
 
 def logdet_eigvals(w) -> np.ndarray:

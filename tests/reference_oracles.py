@@ -215,10 +215,9 @@ def exhaustive_inner_inf(model, Q_x, parts=None) -> float:
     ``parts`` defaults to every filling of the group shape.
     """
     sub = signal_subspace(model.H, Q_x)
-    white = whiten_state(model.Q_s)
     if parts is None:
         parts = exhaustive_partitions(model.m_s, sub.M0)
-    return min(witness_value(model, Q_x, build_family(model, sub, white, part))
+    return min(witness_value(model, Q_x, build_family(model, sub, part))
                for part in parts)
 
 
@@ -237,7 +236,6 @@ def matrix_tin_worst_case(model) -> float:
     if model.a_max == 0.0:
         return kappa * float(logdet_ratio(np.eye(model.m_r) + G, np.eye(model.m_r)))
 
-    white = whiten_state(model.Q_s)
     part = contiguous_fallback(model.m_s, sub.M0)[0]
 
     if math.isinf(model.a_max):
@@ -249,7 +247,7 @@ def matrix_tin_worst_case(model) -> float:
             best = min(best, rate)
         return best
 
-    fam = build_family(model, sub, white, part)
+    fam = build_family(model, sub, part)
     eye = np.eye(model.m_r)
     best = math.inf
     for A in fam.members:

@@ -79,14 +79,14 @@ def test_partition_shape_enforced():
     m = validate_model(1, 1, 2, [[1.0]], np.eye(2), 1.0, 1.0)
     sub, white = _prep(m, np.array([[1.0]]))
     with pytest.raises(PartitionMismatch):
-        build_family(m, sub, white, GroupPartition(groups=((0, 1),)))
+        build_family(m, sub, GroupPartition(groups=((0, 1),)))
 
 
 def test_scalar_family_block():
     v, a, P = 2.0, 3.0, 5.0
     m = validate_model(1, 1, 1, [[1.0]], [[v]], a, P)
     sub, white = _prep(m, np.array([[P]]))
-    fam = build_family(m, sub, white, GroupPartition(groups=((0,),)))
+    fam = build_family(m, sub, GroupPartition(groups=((0,),)))
     A = fam.members[0]
     block = sub.U @ A @ m.Q_s @ A.conj().T @ sub.U.conj().T
     assert block[0, 0] == pytest.approx(a * a * v, rel=1e-12)
@@ -95,7 +95,7 @@ def test_scalar_family_block():
 def test_zero_cap_family_is_all_zero():
     m = validate_model(1, 1, 2, [[1.0]], np.diag([4.0, 1.0]), 0.0, 1.0)
     sub, white = _prep(m, np.array([[1.0]]))
-    fam = build_family(m, sub, white, GroupPartition(groups=((0,), (1,))))
+    fam = build_family(m, sub, GroupPartition(groups=((0,), (1,))))
     assert all(not np.any(A) for A in fam.members)
     fam.validate(m)
 
@@ -103,7 +103,7 @@ def test_zero_cap_family_is_all_zero():
 def test_two_group_blocks():
     m = validate_model(1, 1, 2, [[1.0]], np.diag([4.0, 1.0]), 3.0, 1.0)
     sub, white = _prep(m, np.array([[1.0]]))
-    fam = build_family(m, sub, white, GroupPartition(groups=((0,), (1,))))
+    fam = build_family(m, sub, GroupPartition(groups=((0,), (1,))))
     blocks = [sub.U @ A @ m.Q_s @ A.conj().T @ sub.U.conj().T
               for A in fam.members]
     assert blocks[0][0, 0] == pytest.approx(36.0, rel=1e-12)
@@ -122,7 +122,7 @@ def test_family_feasibility_and_alignment(rng):
         if sub.M0 == 0:
             continue
         for part in exhaustive_partitions(model.m_s, sub.M0):
-            fam = build_family(model, sub, white, part)
+            fam = build_family(model, sub, part)
             fam.validate(model)  # cap + orthogonality certificates
             for A, group in zip(fam.members, fam.group_map):
                 block = sub.U @ A @ model.Q_s @ A.conj().T @ sub.U.conj().T
@@ -155,7 +155,7 @@ def test_canonical_row_assignment_minimizes_terms():
     m = validate_model(2, 2, 2, np.eye(2), np.diag([4.0, 1.0]), 1.0, 11.0)
     Q_x = np.diag([10.0, 1.0])
     sub, white = _prep(m, Q_x)
-    fam = build_family(m, sub, white, GroupPartition(groups=((0, 1),)))
+    fam = build_family(m, sub, GroupPartition(groups=((0, 1),)))
     A = fam.members[0]
     block = sub.U @ A @ m.Q_s @ A.conj().T @ sub.U.conj().T
     assert np.allclose(np.diag(block), [4.0, 1.0], rtol=1e-9)
@@ -164,7 +164,7 @@ def test_canonical_row_assignment_minimizes_terms():
 def test_limit_family_is_symbolic():
     m = validate_model(1, 1, 1, [[1.0]], [[1.0]], math.inf, 1.0)
     sub, white = _prep(m, np.array([[1.0]]))
-    fam = build_family(m, sub, white, GroupPartition(groups=((0,),)))
+    fam = build_family(m, sub, GroupPartition(groups=((0,),)))
     assert fam.is_limit
     fam.validate(m)  # unit-cap members carry the direction information
 
@@ -173,7 +173,7 @@ def test_orthogonality_tolerance_scales_with_cap():
     m = validate_model(**BIG_CAP_MODEL)
     sub, white = _prep(m, water_filling(m)[1])
     assert -(-m.m_s // sub.M0) == 2
-    families = [build_family(m, sub, white, part)  # validates at a_max ~ 9470
+    families = [build_family(m, sub, part)  # validates at a_max ~ 9470
                 for part in enumerate_partitions(m.m_s, sub.M0)]
     A = families[0].members[0]
     twice = AdversaryFamily(members=(A, A), group_map=((0, 1), (2,)), M0=sub.M0,

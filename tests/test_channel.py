@@ -7,10 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from dpbound import (
     FieldKind,
+    SearchConfig,
+    capacity_upper_bound,
+    inner_inf,
     inr_to_amax,
     model_from_json,
     model_to_json,
+    tin_worst_case,
     validate_model,
+    whiten_state,
 )
 from dpbound.errors import (
     DimensionMismatch,
@@ -20,6 +25,8 @@ from dpbound.errors import (
     NotPSD,
     QsRankDeficient,
 )
+
+from conftest import rand_model
 
 P15 = 10.0 ** 1.5  # 15 dB
 
@@ -138,6 +145,52 @@ def test_validation_idempotent():
     assert np.array_equal(m.H, m2.H)
     assert np.array_equal(m.Q_s, m2.Q_s)
     assert (m.a_max, m.P, m.field) == (m2.a_max, m2.P, m2.field)
+
+
+def test_model_carries_its_whitened_state(rng):
+    for _ in range(20):
+        m = rand_model(rng, max_ms=5)
+        w = whiten_state(m.Q_s)
+        assert m.white.eigvals.tobytes() == w.eigvals.tobytes()
+        assert m.white.eigvecs.tobytes() == w.eigvecs.tobytes()
+
+
+# A 3x3 Q_s whose least eigenvalue, about 1e-9 of the largest, sits at the
+# rank cut: validation and the whitening the bound reads must decide it
+# alike, so the model is either rejected or bounded.
+NEAR_CUT_QS = [
+    [0.4488502019704227, -0.446890150628564, -0.45101232925902884],
+    [-0.446890150628564, 0.6531319186906097, 1.0076231805232865],
+    [-0.45101232925902884, 1.0076231805232865, 1.9518501347110198]]
+
+
+def test_near_cut_state_is_decided_at_validation():
+    try:
+        m = validate_model(2, 2, 3, np.eye(2), NEAR_CUT_QS, 1.0, 1.0)
+    except QsRankDeficient:
+        return
+    assert math.isfinite(capacity_upper_bound(m, SearchConfig(1, 3)).value_bits)
+
+
+def test_accepted_near_cut_states_are_never_rejected_later():
+    # seeded Q_s with the least eigenvalue within 1e-6 of the rank cut:
+    # every one that validation accepts runs through the layers that
+    # read the state spectrum
+    rng = np.random.default_rng(0)
+    accepted = 0
+    for _ in range(1000):
+        n = int(rng.integers(2, 5))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = np.exp(rng.uniform(-1.0, 1.0, size=n))
+        w[np.argmin(w)] = 1e-9 * w.max() * (1.0 + rng.uniform(-1.0, 1.0) * 1e-6)
+        try:
+            m = validate_model(2, 2, n, np.eye(2), (Q * w) @ Q.T, 1.0, 1.0)
+        except QsRankDeficient:
+            continue
+        accepted += 1
+        tin_worst_case(m)
+        inner_inf(m, np.eye(2))
+    assert 300 <= accepted <= 700      # the draws straddle the cut
 
 
 def test_model_is_immutable():

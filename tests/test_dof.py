@@ -1,14 +1,25 @@
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from dpbound import DofScenario, InrScaling, dof_fixed_rank, dof_upper_bound
+from dpbound import (
+    DofScenario,
+    InrScaling,
+    SearchConfig,
+    capacity_upper_bound,
+    dof_fixed_rank,
+    dof_upper_bound,
+    validate_model,
+)
 from dpbound.dof import MAX_DOF_DIM
 from dpbound.errors import NegativeParameter, TooLarge
 
+from conftest import rand_psd
 from reference_oracles import loop_dof_upper_bound
 
 
@@ -96,3 +107,22 @@ def test_state_dimension_limit():
     for dims in ((MAX_DOF_DIM + 1, 1, 1), (1, MAX_DOF_DIM + 1, 1)):
         with pytest.raises(TooLarge):
             DofScenario(*dims, True, InrScaling.SUBLINEAR)
+
+
+@pytest.mark.parametrize("linear", [True, False])
+@pytest.mark.parametrize("m_s", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mimo_bound_slope_matches_dof(dim, m_s, linear):
+    # the general bound's growth from P = 1e6 to 1e8, in bits per doubling
+    # of P, is kappa times the DOF: linear INR (a_max^2 = P) caps it by
+    # dimension counting, a fixed cap leaves the full min(m_t, m_r)
+    rng = np.random.default_rng([dim, m_s])
+    H, Q_s = rng.standard_normal((dim, dim)), rand_psd(rng, m_s)
+    values = []
+    for P in (1e6, 1e8):
+        m = validate_model(dim, dim, m_s, H, Q_s, math.sqrt(P) if linear else 3.0, P)
+        values.append(capacity_upper_bound(m, SearchConfig(2, 40)).value_bits)
+    slope = (values[1] - values[0]) / math.log2(100.0)
+    scaling = InrScaling.LINEAR if linear else InrScaling.SUBLINEAR
+    dof = dof_upper_bound(DofScenario(dim, dim, m_s, True, scaling))
+    assert slope == pytest.approx(0.5 * dof, abs=0.02)

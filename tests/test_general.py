@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_objective_uneven_branch_hand_case():
     sub = signal_subspace(m.H, Q_x)
     white = whiten_state(m.Q_s)
     part = GroupPartition(groups=((0, 1), (2,)))
-    fam = build_family(m, sub, white, part)
+    fam = build_family(m, sub, part)
     val = witness_value(m, Q_x, fam)
     g = math.log2(21.0 / 2.25) + 4.0
     expected = 0.5 * (math.log2(49.0 / 16.0) + math.log2(9.0) + g) / 3.0
@@ -101,8 +102,7 @@ def test_objective_rank_zero_signal():
 def test_objective_rejects_foreign_family():
     m = validate_model(2, 2, 1, np.eye(2), [[1.0]], 1.0, 4.0)
     sub = signal_subspace(m.H, np.diag([4.0, 0.0]))
-    fam = build_family(m, sub, whiten_state(m.Q_s),
-                       GroupPartition(groups=((0,),)))
+    fam = build_family(m, sub, GroupPartition(groups=((0,),)))
     with pytest.raises(PartitionMismatch):
         witness_value(m, np.diag([0.0, 4.0]), fam)
 
@@ -131,7 +131,7 @@ def _witness_cases(rng):
             continue
         parts = exhaustive_partitions(m.m_s, sub.M0)
         part = parts[int(rng.integers(len(parts)))]
-        yield m, Q_x, build_family(m, sub, whiten_state(m.Q_s), part)
+        yield m, Q_x, build_family(m, sub, part)
 
 
 def test_witness_evaluator_matches_matrix_oracle_bitwise():
@@ -159,8 +159,7 @@ def test_witness_evaluator_both_singular_term_is_infinite():
     m = validate_model(2, 2, 1, np.eye(2), [[1.0]], 1e5, 1.0)
     Q_x = np.eye(2) / 2.0
     sub = signal_subspace(m.H, Q_x)
-    fam = build_family(m, sub, whiten_state(m.Q_s),
-                       GroupPartition(groups=((0,),)))
+    fam = build_family(m, sub, GroupPartition(groups=((0,),)))
     with pytest.raises(BothSingular):
         matrix_objective(m, Q_x, fam)
     assert witness_value(m, Q_x, fam) == math.inf
@@ -190,8 +189,7 @@ def test_witness_value_matches_kernel_within_conditioning():
             big = validate_model(m.m_t, m.m_r, m.m_s, m.H, m.Q_s,
                                  m.a_max * 1e4, m.P, m.field)
             cases.append((big, build_family(
-                big, fam.subspace, whiten_state(big.Q_s),
-                GroupPartition(groups=fam.group_map))))
+                big, fam.subspace, GroupPartition(groups=fam.group_map))))
         for model, family in cases:
             kernel = _kernel_value(model, family)
             matrix = witness_value(model, Q_x, family)
@@ -253,8 +251,7 @@ def test_inner_inf_order_invariant_for_scalar_signal():
     m = validate_model(1, 1, 2, [[1.0]], np.diag([4.0, 1.0]), 3.0, 10.0)
     Q = np.array([[10.0]])
     sub = signal_subspace(m.H, Q)
-    white = whiten_state(m.Q_s)
-    vals = [witness_value(m, Q, build_family(m, sub, white, p))
+    vals = [witness_value(m, Q, build_family(m, sub, p))
             for p in exhaustive_partitions(2, 1)]
     assert vals[0] == pytest.approx(vals[1], abs=1e-12)
 
@@ -489,7 +486,7 @@ def test_scalar_kernel_matches_numpy_reference():
                 assert fast == pytest.approx(ref, rel=0, abs=1e-12)
 
 
-def test_inner_method_reports_budget_fallback():
+def test_inner_method_is_exact_where_a_budget_once_applied():
     # m_s = 9 at M0 = 1 is where a partition budget once forced a lossy
     # two-partition fallback; no fallback remains, the method reads exact
     rng = np.random.default_rng(3)
@@ -579,6 +576,28 @@ def test_negative_search_settings_rejected(field):
     m = validate_model(2, 2, 1, np.eye(2), [[1.0]], 2.0, 4.0)
     rep = outer_sup(m, 2, SearchConfig(**{field: 0, "ranks": (2,)}))
     assert math.isfinite(rep.raw_value_bits)
+
+
+@pytest.mark.parametrize("bad", [2.5, None, "3", math.inf, math.nan, 2.0])
+@pytest.mark.parametrize("field", ["restarts", "max_iters"])
+def test_non_integer_search_settings_rejected(field, bad):
+    # rejected where the config is built, not deep inside outer_sup
+    with pytest.raises(NegativeParameter, match=field):
+        SearchConfig(**{field: bad})
+
+
+def test_large_cap_passes_the_witness_check():
+    # a_max^2 ||Q_s|| near 1e200: the cross-term norm is taken after
+    # scaling, so it no longer overflows and fails the family check
+    H, Q_s = [[1.0, 0.5], [0.2, 1.0]], [[2.0, 1.0], [1.0, 2.0]]
+    config = SearchConfig(restarts=2, max_iters=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big, unbounded = [
+            capacity_upper_bound(validate_model(2, 2, 2, H, Q_s, cap, 10.0), config)
+            for cap in (1e100, math.inf)]
+    assert unbounded.value_bits == pytest.approx(1.2645634212872687, rel=1e-12)
+    assert big.value_bits == pytest.approx(unbounded.value_bits, rel=1e-12)
 
 
 def test_random_starts_drawn_when_due(monkeypatch):

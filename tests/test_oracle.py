@@ -14,7 +14,6 @@ from dpbound import (
     run_equivalence_suite,
     signal_subspace,
     validate_model,
-    whiten_state,
 )
 from dpbound.errors import InfeasiblePsi, NotRankOne, RankZeroSignal, TooLarge
 from dpbound.oracle import (
@@ -64,7 +63,7 @@ def test_rank_zero_signal_raises_one_exception():
     with pytest.raises(RankZeroSignal):
         inner_inf(m, Q)
     with pytest.raises(RankZeroSignal):
-        build_family(m, sub, whiten_state(m.Q_s), GroupPartition(groups=((0,),)))
+        build_family(m, sub, GroupPartition(groups=((0,),)))
     with pytest.raises(RankZeroSignal):
         brute_force_inner_inf(m, Q, 100)
     fam = AdversaryFamily(members=(), group_map=(), M0=0, a_max=1.0, subspace=sub)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpbound import signal_subspace, whiten_state
-from dpbound.errors import NotSquare, QsRankDeficient
+from dpbound.errors import NotPSD, NotSquare, QsRankDeficient
 from dpbound.spectral import logdet_psd, signal_spectrum
 
 from conftest import rand_psd
@@ -125,6 +125,12 @@ def test_whiten_degenerate_spectrum():
 def test_whiten_rejects_rank_deficient():
     with pytest.raises(QsRankDeficient):
         whiten_state(np.diag([1.0, 0.0]))
+
+
+def test_whiten_rejects_indefinite():
+    # the rule validate_model applies: an eigenvalue below -EPS_PSD * top
+    with pytest.raises(NotPSD):
+        whiten_state(np.diag([1.0, -1.0]))
 
 
 def test_logdet_ratio_values():
