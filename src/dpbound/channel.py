@@ -59,8 +59,12 @@ def _as_matrix(M, name: str) -> np.ndarray:
 
 
 def _hermitize(M: np.ndarray) -> np.ndarray:
-    """The Hermitian part of a matrix, or of each matrix in a stack."""
-    return (M + np.swapaxes(M, -1, -2).conj()) / 2.0
+    """The Hermitian part of a matrix, or of each matrix in a stack.
+
+    Each half is taken before the sum, so entries near the float limit do
+    not overflow; for normal entries this equals (M + M^H)/2 bit for bit.
+    """
+    return M / 2.0 + np.swapaxes(M, -1, -2).conj() / 2.0
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -139,15 +143,16 @@ class AdversaryFamily:
         Checks the singular-value cap (the unit cap for limit families,
         whose members are built at unit cap), pairwise state-orthogonality and
         the member count ceil(m_s / M0).  The orthogonality tolerance scales
-        with cap^2 ||Q_s||, the size of each member's interference
-        covariance, because the rounding error of a cross term does too.
+        with cap^2 lambda_max(Q_s), the size of each member's interference
+        covariance, because the rounding error of a cross term does too;
+        validation keeps that product finite.
         """
         n_expected = -(-model.m_s // self.M0)
         if len(self.members) != n_expected:
             raise PartitionMismatch(
                 f"family has {len(self.members)} members, expected {n_expected}")
         cap = 1.0 if self.is_limit else self.a_max
-        qs_scale = 1.0 + cap * cap * float(np.linalg.norm(model.Q_s))
+        qs_scale = 1.0 + cap * cap * float(model.white.eigvals[0])
         for i, A in enumerate(self.members):
             smax = float(np.linalg.svd(A, compute_uv=False)[0]) if A.size else 0.0
             if smax > cap * (1.0 + SV_CAP_SLACK):

@@ -52,7 +52,36 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
     basis, where ``C_i`` ranges over gains in [0, a_max] and rotation
     angles on [0, pi), with state-orthogonality between members enforced
     by construction.  Guarded to m_r * m_s <= 4, at most two groups and a
-    signal rank of at most two; a rank-zero signal raises RankZeroSignal.
+    signal rank of at most two; a rank-zero signal raises RankZeroSignal,
+    and a grid determinant that overflows a float raises TooLarge.
+
+    Three grids are minimized along one axis without visiting it, and
+    each reduction returns the minimum of the whole grid:
+
+    * M0 = 1, m_s = 2 (gains g1, g2, angle theta): the first member's
+      terms depend on (g1, theta) only and the second's on (g2, theta)
+      only.  Float ``+``, ``-`` and the final ``kappa x / 3`` are monotone
+      in each operand, so the minimum over g1 of the first partial sum,
+      carried through the same steps in the same order, gives the grid
+      minimum bit for bit.
+    * M0 = 2, m_s = 2 (gains g1, g2, angles theta, phi): with
+      a, b = 1 + lambda and K = diag(g) R(theta)^T diag(v) R(theta) diag(g),
+      det(D + R(phi) K R(phi)^T) = c0 + c1 cos 2phi + c2 sin 2phi, where
+      c0 = ab + det K + (a + b)(K11 + K22)/2, c1 = (b - a)(K11 - K22)/2
+      and c2 = -(b - a) K12.  This is a sinusoid in 2phi with its trough
+      at atan2(c2, c1) + pi, and the phi grid samples 2phi evenly round
+      the circle, so the least grid value is at the grid angle nearest the
+      trough: c0 - hypot(c1, c2) cos(delta), with delta the distance
+      between the two.  log2, which is monotone, is then taken on the
+      (g1, g2, theta) grid that remains; det K is free of phi.  Every
+      term of c0 is positive and hypot(c1, c2) <= (a + b)(K11 + K22)/2,
+      so the determinant stays positive at large caps, where the
+      entrywise (a + T11)(b + T22) - T12^2 cancels below zero.
+    * M0 = 2, m_s = 1 (gain t, angle phi): T = t u u^T with
+      u = (cos phi, sin phi) has rank one, so det(D + T) =
+      ab + t (b cos^2 phi + a sin^2 phi) and det(T + I/2) = 1/4 + t/2.
+      Only the first depends on phi, through a factor that t >= 0
+      multiplies, so its least value over the phi grid is taken once.
     """
     sub = signal_subspace(model.H, Q_x)
     M0 = sub.M0
@@ -89,68 +118,84 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
         w = v[0] * c2 + v[1] * s2
         q = v[0] ** 2 * c2 + v[1] ** 2 * s2
         u = np.where(q > 0, v[0] * v[1] * w / np.where(q > 0, q, 1.0), 0.0)
-        g1 = g[:, None, None] ** 2
-        g2 = g[None, :, None] ** 2
-        t1 = g1 * w[None, None, :]
-        t2 = g2 * u[None, None, :]
-        return _blockwise_min(n_gain, n_gain * n_ang, lambda rows: (
-            _grid_objective_scalar(lam, [t1[rows], t2], m_s, M0, kappa)))
+        # t1 over (g1, theta) and t2 over (g2, theta), each the size of one
+        # g1 row of the full grid
+        t1 = g[:, None] ** 2 * w
+        t2 = g[:, None] ** 2 * u
+        s = lam[0]
+        with np.errstate(divide="ignore"):
+            first = np.log2(1.0 + s) + np.log2(s + 1.0 + t1) - np.log2(t1)
+            total = np.min(first, axis=0) + np.log2(s + 1.0 + t2) - np.log2(t2)
+        return float(np.min(kappa * total / 3))
+
+    a, b = 1.0 + lam[0], 1.0 + lam[1]
+    log_signal = math.log2(a * b)
 
     # M0 == 2: a single member (two groups never fit in m_r * m_s <= 4)
     if m_s == 1:
         n_gain = max(int(math.sqrt(R)), 64)
-        n_ang = n_gain
-        phi = np.linspace(0.0, math.pi, n_ang, endpoint=False)
-        t = np.linspace(0.0, model.a_max, n_gain)[:, None] ** 2 * v[0]
-        c2 = np.cos(phi) ** 2
-        s2 = np.sin(phi) ** 2
-        # T = t * [c; s][c; s]^T; uneven branch since m_s < M0
-        det_num = ((lam[0] + 1.0 + t * c2) * (lam[1] + 1.0 + t * s2)
-                   - (t * np.cos(phi) * np.sin(phi)) ** 2)
-        det_den = (t * c2 + 0.5) * (t * s2 + 0.5) - (t * np.cos(phi) * np.sin(phi)) ** 2
-        total = (np.log2((1.0 + lam[0]) * (1.0 + lam[1]))
-                 + np.log2(det_num) - np.log2(det_den) + 4.0)
+        phi = np.linspace(0.0, math.pi, n_gain, endpoint=False)
+        t = np.linspace(0.0, model.a_max, n_gain) ** 2 * v[0]
+        # uneven branch since m_s < M0
+        with np.errstate(over="ignore"):
+            det_num = a * b + t * np.min(b * np.cos(phi) ** 2 + a * np.sin(phi) ** 2)
+        _require_finite(det_num)
+        total = log_signal + np.log2(det_num) - np.log2(0.25 + 0.5 * t) + 4.0
         return float(np.min(kappa * total / 2.0))
 
     # M0 == 2, m_s == 2: one full-rank member C = R(phi) diag(g) R(theta)^T,
     # so T = R(phi) [diag(g) R(theta)^T diag(v) R(theta) diag(g)] R(phi)^T.
     n_gain = max(int(round(R ** 0.25)), 12)
     n_ang = 2 * n_gain
-    phi = np.linspace(0.0, math.pi, n_ang, endpoint=False)
+    # phi runs over the same n_ang points as theta
     theta = np.linspace(0.0, math.pi, n_ang, endpoint=False)
     gax = np.linspace(0.0, model.a_max, n_gain)
-    g1_axis = gax[:, None, None, None]
-    g2 = gax[None, :, None, None]
+    g1_axis = gax[:, None, None]
+    g2 = gax[None, :, None]
     ct, st = np.cos(theta), np.sin(theta)
-    ct = ct[None, None, :, None]
-    st = st[None, None, :, None]
-    cp, sp = np.cos(phi), np.sin(phi)
-    cp = cp[None, None, None, :]
-    sp = sp[None, None, None, :]
     M11 = v[0] * ct ** 2 + v[1] * st ** 2
     M22 = v[0] * st ** 2 + v[1] * ct ** 2
     M12 = (v[0] - v[1]) * ct * st
-    log_signal = math.log2((1.0 + lam[0]) * (1.0 + lam[1]))
 
     def gain_block(rows):
         g1 = g1_axis[rows]
         K11 = g1 ** 2 * M11
         K22 = g2 ** 2 * M22
         K12 = g1 * g2 * M12
-        T11 = cp ** 2 * K11 + sp ** 2 * K22 - 2.0 * cp * sp * K12
-        T22 = sp ** 2 * K11 + cp ** 2 * K22 + 2.0 * cp * sp * K12
-        T12 = cp * sp * (K11 - K22) + (cp ** 2 - sp ** 2) * K12
-        det_t = (g1 * g2) ** 2 * v[0] * v[1]
-        det_n = (1.0 + lam[0] + T11) * (1.0 + lam[1] + T22) - T12 ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            det_t = (g1 * g2) ** 2 * v[0] * v[1]
+            c0 = (a * b + det_t) + (a + b) / 2.0 * (K11 + K22)
+            c1 = (b - a) / 2.0 * (K11 - K22)
+            c2 = (a - b) * K12
+            det_n = _least_on_grid(c0, c1, c2, n_ang)
+        _require_finite(det_n)
         with np.errstate(divide="ignore"):
-            total = log_signal + np.log2(det_n) - np.log2(det_t)
-        return kappa * total / 2.0
+            return log_signal + np.log2(det_n) - np.log2(det_t)
 
-    return _blockwise_min(n_gain, n_gain * n_ang ** 2, gain_block)
+    return kappa * _blockwise_min(n_gain, n_gain * n_ang, gain_block) / 2.0
+
+
+def _least_on_grid(c0, c1, c2, n_ang: int):
+    """Least value of c0 + c1 cos 2phi + c2 sin 2phi over phi = k pi / n_ang.
+
+    The sinusoid's trough is at 2phi = atan2(c2, c1) + pi, and 2phi steps
+    evenly round the circle; the grid angle nearest the trough lies delta
+    from it, and its value is c0 - hypot(c1, c2) cos delta.
+    """
+    step = 2.0 * math.pi / n_ang
+    x = (np.arctan2(c2, c1) + math.pi) / step
+    delta = np.abs(x - np.rint(x)) * step
+    return c0 - np.hypot(c1, c2) * np.cos(delta)
+
+
+def _require_finite(det: np.ndarray) -> None:
+    if not np.isfinite(det).all():
+        raise TooLarge("a grid determinant overflows a float; lower the cap")
 
 
 # Grid points evaluated at once: each float64 temporary of a block stays
-# within 512 KB, which keeps it in cache; a whole grid is up to 6 MB.
+# within 512 KB, which keeps it in cache.  The reduced M0 = 2 grid holds
+# n_gain^2 n_ang points (148 KB at the suite's resolution of 200,000).
 _BLOCK_POINTS = 1 << 16
 
 

@@ -1,10 +1,17 @@
 """Slow reference implementations that the library's oracles are tested against.
 
 ``dense_brute_force_inner_inf`` builds the two m_s = 2 brute-force grids
-in one piece, and ``scalar_concavity_pairs`` / ``scalar_concavity_check``
-run the log-det concavity trials one matrix at a time.  The library
-evaluates the same grids in blocks of gain rows and the same trials on
-stacked arrays; the tests require both to agree with these.
+and the M0 = 2, m_s = 1 grid in one piece and evaluates every point, with
+each determinant written entrywise.  The library minimises the same grids
+along one axis in closed form (over g1 for M0 = 1; over the rotation phi
+for M0 = 2, through the sinusoid det(D + T) makes in 2 phi), and the
+tests require the two to agree: bit for bit for M0 = 1, to rounding for
+M0 = 2.  The entrywise determinants lose about eps a_max^2 v of relative
+precision, so at large caps they read low or NaN, where the library's
+closed forms stay finite.  ``scalar_concavity_pairs`` and
+``scalar_concavity_check`` run the log-det concavity trials one matrix
+at a time; the library runs the same trials on stacked arrays and must
+agree with them.
 ``numpy_fast_value`` is the aligned-family objective written as numpy
 reductions, which the library's scalar kernel must reproduce.
 ``exhaustive_partitions`` lists every filling of the group shape, the
@@ -47,15 +54,31 @@ from dpbound.spectral import signal_subspace, whiten_state
 
 
 def dense_brute_force_inner_inf(model, Q_x, grid_resolution: int) -> float:
-    """Grid minimum of the objective for m_s = 2, each grid built as one array."""
+    """Grid minimum of the objective for m_s = 2, and for M0 = 2 with
+    m_s = 1, each grid built as one array and every point evaluated."""
     sub = signal_subspace(model.H, Q_x)
     M0 = sub.M0
     m_s = model.m_s
-    assert m_s == 2 and M0 in (1, 2) and 0.0 < model.a_max < math.inf
+    assert (m_s, M0) in ((2, 1), (2, 2), (1, 2)) and 0.0 < model.a_max < math.inf
     kappa = model.field.kappa
     lam = np.asarray(sub.spectrum)
     v = np.asarray(whiten_state(model.Q_s).eigvals)
     R = int(grid_resolution)
+
+    if m_s == 1:
+        n_gain = max(int(math.sqrt(R)), 64)
+        n_ang = n_gain
+        phi = np.linspace(0.0, math.pi, n_ang, endpoint=False)
+        t = np.linspace(0.0, model.a_max, n_gain)[:, None] ** 2 * v[0]
+        c2 = np.cos(phi) ** 2
+        s2 = np.sin(phi) ** 2
+        # T = t * [c; s][c; s]^T; uneven branch since m_s < M0
+        det_num = ((lam[0] + 1.0 + t * c2) * (lam[1] + 1.0 + t * s2)
+                   - (t * np.cos(phi) * np.sin(phi)) ** 2)
+        det_den = (t * c2 + 0.5) * (t * s2 + 0.5) - (t * np.cos(phi) * np.sin(phi)) ** 2
+        total = (np.log2((1.0 + lam[0]) * (1.0 + lam[1]))
+                 + np.log2(det_num) - np.log2(det_den) + 4.0)
+        return float(np.min(kappa * total / 2.0))
 
     if M0 == 1:
         n_ang = max(int(math.sqrt(R)) * 2, 32)

@@ -180,3 +180,14 @@ def test_orthogonality_tolerance_scales_with_cap():
                             a_max=m.a_max)
     with pytest.raises(InfeasibleFamily, match="not Q_s-orthogonal"):
         twice.validate(m)
+
+
+def test_orthogonality_checked_at_largest_valid_cap():
+    # ||I_2||_F cap^2 overflows here, while lambda_max(Q_s) cap^2 does not
+    a_max = math.sqrt(0.99 * np.finfo(float).max)
+    m = validate_model(1, 1, 2, [[1.0]], np.eye(2), a_max, 1.0)
+    A = np.array([[a_max, 0.0]])
+    twice = AdversaryFamily(members=(A, A), group_map=((0,), (1,)), M0=1,
+                            a_max=a_max)
+    with pytest.raises(InfeasibleFamily, match="not Q_s-orthogonal"):
+        twice.validate(m)

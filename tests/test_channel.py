@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dpbound import (
     validate_model,
     whiten_state,
 )
+from dpbound.channel import _hermitize
 from dpbound.errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -127,6 +129,25 @@ def test_qs_symmetrized_before_checks():
     q = np.array([[2.0, 1.0 + 1e-12], [1.0 - 1e-12, 2.0]])
     m = validate_model(1, 1, 2, [[1.0]], q, 1.0, 1.0)
     assert np.allclose(m.Q_s, m.Q_s.T)
+
+
+def test_qs_near_float_limit_accepted_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = validate_model(1, 1, 1, [[1.0]], [[1.7e308]], 0.0, 1.0)
+    assert m.white.eigvals[0] == 1.7e308
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_hermitize_halves_first_bit_for_bit(complex_field):
+    # normal entries over most of the float range, so that no half is subnormal
+    rng = np.random.default_rng(2024)
+    shape = (50, 4, 4)
+    M = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    if complex_field:
+        M = M + 1j * rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    old = (M + np.swapaxes(M, -1, -2).conj()) / 2.0
+    assert _hermitize(M).tobytes() == old.tobytes()
 
 
 def test_indefinite_qs_rejected():
