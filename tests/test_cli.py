@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dpbound import model_to_json, validate_model
-from dpbound.cli import _emit, cli_dispatch
+from dpbound.cli import _emit, build_parser, cli_dispatch
 
 from conftest import BIG_CAP_MODEL
 
@@ -150,6 +150,39 @@ def test_sweep_prelog_trace_rejected(capsys, tmp_path):
     assert code == 1
     assert not (tmp_path / "x").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("traces,message", [
+    ("", "at least one trace must be requested"),
+    ("bound,bound", "name a trace twice"),
+])
+def test_sweep_bad_trace_list_rejected(capsys, tmp_path, traces, message):
+    err = rejects(capsys, "--quiet", "sweep", "--snr-db", "15",
+                  "--inr-start", "0", "--inr-stop", "1", "--step", "1",
+                  "--out", str(tmp_path / "x"), "--traces", traces)
+    assert message in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cached_parser_parses_each_call_afresh(capsys, tmp_path):
+    parser = build_parser()
+    assert build_parser() is parser          # built once per process
+    sweep = ["sweep", "--snr-db", "15", "--inr-start", "0", "--inr-stop", "1",
+             "--step", "1", "--out", str(tmp_path / "out")]
+    first = parser.parse_args(["--quiet", *sweep])
+    second = parser.parse_args(["verify"])
+    assert first.quiet and not second.quiet
+    assert first.command == "sweep" and second.command == "verify"
+    assert not hasattr(second, "snr_db") and not hasattr(second, "traces")
+    assert list(second.seed_ladder) == list(range(10))
+
+    assert cli_dispatch(["--quiet", *sweep]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli_dispatch(sweep) == 0
+    assert "sweeping 2 INR points" in capsys.readouterr().err
+    code, doc = run_cli(capsys, "--quiet", "verify", "--seed-ladder", "0..0")
+    assert code == 0
+    assert doc["seed_ladder"] == [0]
 
 
 def test_usage_error_exit_code(capsys):

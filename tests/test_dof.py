@@ -16,6 +16,7 @@ from dpbound import (
     dof_upper_bound,
     validate_model,
 )
+from dpbound.adversary import GroupPartition, objective, required_group_sizes
 from dpbound.dof import MAX_DOF_DIM
 from dpbound.errors import NegativeParameter, TooLarge
 
@@ -126,3 +127,36 @@ def test_mimo_bound_slope_matches_dof(dim, m_s, linear):
     scaling = InrScaling.LINEAR if linear else InrScaling.SUBLINEAR
     dof = dof_upper_bound(DofScenario(dim, dim, m_s, True, scaling))
     assert slope == pytest.approx(0.5 * dof, abs=0.02)
+
+
+def contiguous_partition(m_s: int, M0: int) -> GroupPartition:
+    """Groups of consecutive coordinates in the required shape; with equal
+    state eigenvalues every filling of the shape has the same objective."""
+    groups, start = [], 0
+    for size in required_group_sizes(m_s, M0):
+        groups.append(tuple(range(start, start + size)))
+        start += size
+    return GroupPartition(groups=tuple(groups))
+
+
+def objective_slope(m_s: int, M0: int, linear: bool) -> float:
+    """Growth of the objective (kappa = 1) from P = 2^200 to 2^400 per
+    doubling of P, with every signal eigenvalue P and unit state
+    eigenvalues; a linear INR sets a_max^2 = P, else a_max = 1."""
+    part = contiguous_partition(m_s, M0)
+    values = []
+    for P in (2.0 ** 200, 2.0 ** 400):
+        a_max = math.sqrt(P) if linear else 1.0
+        values.append(objective([P] * M0, [1.0] * m_s, a_max, m_s, part, 1.0))
+    return (values[1] - values[0]) / 200.0
+
+
+def test_objective_slope_is_the_fixed_rank_dof():
+    # exact prelog identity (derivation in the dof module docstring): at
+    # linear INR the slope is dof_fixed_rank; at a fixed cap it is M0
+    for m_s in range(1, 65):
+        for M0 in range(1, 17):
+            assert objective_slope(m_s, M0, linear=True) == \
+                pytest.approx(dof_fixed_rank(M0, m_s), rel=0, abs=1e-9), (m_s, M0)
+            assert objective_slope(m_s, M0, linear=False) == \
+                pytest.approx(M0, rel=0, abs=1e-9), (m_s, M0)

@@ -5,13 +5,14 @@ import math
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dpbound
 from dpbound import FieldKind, SweepSpec, emit_data_files, run_sweep
 from dpbound.errors import BadSpec
 from dpbound.sweep import KNOWN_TRACES, MAX_SWEEP_POINTS, SweepResult, _fmt
 
-from reference_oracles import model_path_sweep
+from reference_oracles import model_path_sweep, reference_sweep_json
 
 
 def default_spec(**kw):
@@ -40,6 +41,11 @@ def test_empty_traces_rejected():
 def test_unknown_trace_rejected():
     with pytest.raises(BadSpec):
         default_spec(traces=("bound", "mystery"))
+
+
+def test_duplicate_trace_rejected():
+    with pytest.raises(BadSpec, match="twice"):
+        default_spec(traces=("bound", "tin", "bound"))
 
 
 def test_bad_grid_rejected():
@@ -250,3 +256,49 @@ def test_sweep_does_no_per_point_model_work(monkeypatch):
     rows = run_sweep(default_spec(inr_db_step=0.1)).rows
     assert len(rows) == 501
     assert (len(validate), len(water), len(tin)) == (1, 0, 0)
+
+
+def assert_json_matches_reference(result, out_dir):
+    emit_data_files(result, out_dir)
+    got = (out_dir / "sweep.json").read_bytes()
+    assert got == reference_sweep_json(result).encode("ascii")
+
+
+@pytest.mark.parametrize("field", list(FieldKind))
+@pytest.mark.parametrize("traces", TRACE_SUBSETS)
+def test_sweep_json_bytes_match_reference(tmp_path, field, traces):
+    res = run_sweep(default_spec(inr_db_step=0.37, field=field, traces=traces))
+    assert_json_matches_reference(res, tmp_path)
+
+
+@pytest.mark.parametrize("traces", [KNOWN_TRACES, ("bound",), ("tin",)])
+def test_zero_cap_sweep_json_bytes_match_reference(tmp_path, traces):
+    res = run_sweep(default_spec(inr_db_start=-4000.0, inr_db_step=10.0,
+                                 traces=traces))
+    assert_json_matches_reference(res, tmp_path)
+    if "bound" in traces:
+        assert res.rows[0]["bound"] == math.inf
+
+
+def test_non_finite_rows_json_bytes_match_reference(tmp_path):
+    # rows a caller builds may hold any float, at any position
+    rows = ({"inr_db": -1.0, "bound": -math.inf, "tin": 0.5},
+            {"inr_db": 0.0, "bound": math.nan, "tin": math.inf},
+            {"inr_db": 1.0, "bound": 1.0, "tin": 0.25})
+    res = SweepResult(rows=rows, metadata={"snr_db": math.inf, "note": "x"})
+    assert_json_matches_reference(res, tmp_path)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(snr_db=st.floats(-400.0, 400.0), start=st.floats(-4000.0, 400.0),
+       width=st.floats(0.0, 500.0), points=st.integers(1, 40),
+       field=st.sampled_from(list(FieldKind)),
+       traces=st.sampled_from(TRACE_SUBSETS))
+def test_drawn_sweep_json_bytes_match_reference(tmp_path_factory, snr_db, start,
+                                                width, points, field, traces):
+    spec = SweepSpec(snr_db=snr_db, inr_db_start=start,
+                     inr_db_stop=start + width,
+                     inr_db_step=max(width / points, 1e-3),
+                     field=field, traces=traces)
+    assert_json_matches_reference(run_sweep(spec),
+                                  tmp_path_factory.mktemp("drawn"))
