@@ -58,10 +58,6 @@ class GroupPartition:
         if len(flat) != len(set(flat)):
             raise PartitionMismatch("groups overlap")
 
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
 
 def required_group_sizes(m_s: int, M0: int) -> list[int]:
     """Group sizes [M0, ..., M0, remainder] covering m_s coordinates."""
@@ -120,7 +116,7 @@ def build_family(model: ChannelModel, sub: SignalSubspace,
     zero-padded) and every nonzero singular value of A_i equals a_max.
 
     For ``a_max = inf`` the returned family is symbolic: members are built
-    at unit cap and ``is_limit`` is set, so consumers treat every
+    at unit cap and ``is_limit`` is true, so consumers treat every
     interference block as an unboundedly amplified direction.
     """
     M0 = sub.M0
@@ -128,8 +124,7 @@ def build_family(model: ChannelModel, sub: SignalSubspace,
         raise RankZeroSignal("H Q_x H^dagger is numerically zero")
     check_partition(part, model.m_s, M0)
 
-    is_limit = math.isinf(model.a_max)
-    cap = 1.0 if is_limit else model.a_max
+    cap = 1.0 if math.isinf(model.a_max) else model.a_max
 
     v = np.asarray(model.white.eigvals)
     E = np.asarray(model.white.eigvecs)
@@ -146,8 +141,7 @@ def build_family(model: ChannelModel, sub: SignalSubspace,
 
     fam = AdversaryFamily(members=tuple(members),
                           group_map=tuple(tuple(sorted(g)) for g in part.groups),
-                          M0=M0, a_max=model.a_max, is_limit=is_limit,
-                          subspace=sub)
+                          M0=M0, a_max=model.a_max, subspace=sub)
     fam.validate(model)
     return fam
 

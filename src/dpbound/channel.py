@@ -123,7 +123,7 @@ class AdversaryFamily:
 
     ``members`` hold the actual matrices for a finite cap.  For an infinite
     cap the family is symbolic: ``members`` store the unit-cap matrices and
-    ``is_limit`` is set, meaning each interference block is to be read as
+    ``is_limit`` is true, meaning each interference block is to be read as
     "this direction, amplified without bound".
     """
 
@@ -131,11 +131,15 @@ class AdversaryFamily:
     group_map: tuple          # tuple of coordinate tuples, one per member
     M0: int
     a_max: float
-    is_limit: bool = False
     subspace: object = field(default=None, compare=False)
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @property
+    def is_limit(self) -> bool:
+        """Whether the cap is unbounded, so the members are unit-cap directions."""
+        return math.isinf(self.a_max)
 
     def validate(self, model: ChannelModel) -> None:
         """Raise if any feasibility certificate fails.
@@ -165,29 +169,42 @@ class AdversaryFamily:
                         f"members {i},{j} are not Q_s-orthogonal")
 
 
-def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
-                   field: FieldKind | str = FieldKind.REAL) -> ChannelModel:
-    """Validate a raw channel description and return an immutable model.
-
-    ``Q_s`` is symmetrized and passed to :func:`whiten_state` (``NotPSD``,
-    ``QsRankDeficient``), kept as ``white``.  Raises ``DimensionMismatch``,
-    ``NegativeParameter``, ``NonFinite``
-    (NaN or inf in ``H`` or ``Q_s``, ``P = inf``, a ``P`` or ``a_max`` too
-    large for a float, or an overflowing ``P ||H||_F^2`` or finite-cap
-    ``a_max^2 lambda_max(Q_s)``; ``a_max = inf``
-    and underflowing caps are legal) or ``FieldMismatch`` (unknown field too).
-    Validation is idempotent: feeding an accepted model's fields back
-    returns an equal model.
-    """
+def as_field(field: FieldKind | str) -> FieldKind:
+    """``field`` or its name, in any case, as a ``FieldKind``, else ``FieldMismatch``."""
     if isinstance(field, str) and field.lower() in ("real", "complex"):
         field = FieldKind(field.lower())
     if not isinstance(field, FieldKind):
         raise FieldMismatch(f"field must be 'real' or 'complex', got {field!r}")
-    for name, dim in (("m_t", m_t), ("m_r", m_r), ("m_s", m_s)):
-        # inf // 1 is nan, so an infinite dimension fails too
-        if not (isinstance(dim, numbers.Real) and dim == dim // 1 >= 1):
-            raise NegativeParameter(f"{name} must be a positive integer, got {dim}")
-    m_t, m_r, m_s = int(m_t), int(m_r), int(m_s)
+    return field
+
+
+def positive_dim(name: str, dim) -> int:
+    """``dim`` as an int if it is a non-bool real with an integer value of
+    at least one (2.0 is 2), else ``NegativeParameter``."""
+    # inf // 1 is nan, so an infinite dimension fails too
+    if isinstance(dim, bool) or not (isinstance(dim, numbers.Real)
+                                     and dim == dim // 1 >= 1):
+        raise NegativeParameter(f"{name} must be a positive integer, got {dim!r}")
+    return int(dim)
+
+
+def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
+                   field: FieldKind | str = FieldKind.REAL) -> ChannelModel:
+    """Validate a raw channel description and return an immutable model.
+
+    ``field`` goes through :func:`as_field` and each dimension through
+    :func:`positive_dim`; ``Q_s`` is symmetrized and passed to
+    :func:`whiten_state` (``NotPSD``, ``QsRankDeficient``), kept as
+    ``white``.  Raises ``DimensionMismatch``, ``NegativeParameter`` or
+    ``NonFinite`` (NaN or inf in ``H`` or ``Q_s``, ``P = inf``, a ``P`` or
+    ``a_max`` too large for a float, or an overflowing ``P ||H||_F^2`` or
+    finite-cap ``a_max^2 lambda_max(Q_s)``; ``a_max = inf`` and
+    underflowing caps are legal).  Validation is idempotent: feeding an
+    accepted model's fields back returns an equal model.
+    """
+    field = as_field(field)
+    m_t, m_r, m_s = (positive_dim(name, dim) for name, dim in
+                     (("m_t", m_t), ("m_r", m_r), ("m_s", m_s)))
     P = float(_to_float(P, "P"))
     if not P >= 0.0:
         raise NegativeParameter(f"P must be nonnegative, got {P}")

@@ -18,12 +18,12 @@ import numpy as np
 
 from .baselines import interference_free_capacity, tin_worst_case
 from .channel import FieldKind, _json_safe, db_to_power, inr_to_amax, load_model
-from .dof import DofScenario, InrScaling, dof_upper_bound
+from .dof import DofScenario, dof_upper_bound
 from .errors import DirtyPaperError, TooLarge
 from .general import SearchConfig, capacity_upper_bound
 from .oracle import concavity_trials, concavity_verdicts, run_equivalence_suite
 from .rank1 import Rank1Inputs, prelog_gap_certificate, prelog_reference, rank_one_bound
-from .sweep import KNOWN_TRACES, SweepSpec, emit_data_files, run_sweep
+from .sweep import SweepSpec, emit_data_files, run_sweep
 
 
 def _emit(doc: dict) -> None:
@@ -69,9 +69,8 @@ def _cmd_bound_rank1(args) -> int:
 def _parse_ranks(text: str) -> tuple | range:
     """Parse ``bound general --ranks``: a range ``a..b`` or a list ``a,b,...``.
 
-    Rejects empty ranges, empty list items and non-integers; whether each
-    rank fits the model is checked once the model is loaded.  A range stays
-    a ``range``, so its size costs no memory.
+    Rejects empty list items and non-integers; ``SearchConfig`` checks the
+    ranks themselves.  A range stays a ``range``, so its size costs no memory.
     """
     lo, sep, hi = text.partition("..")
     try:
@@ -83,8 +82,6 @@ def _parse_ranks(text: str) -> tuple | range:
         raise argparse.ArgumentTypeError(
             f"expected a..b or a comma-separated list of integer ranks, "
             f"got {text!r}") from None
-    if not ranks:
-        raise argparse.ArgumentTypeError(f"rank range {text!r} is empty")
     return ranks
 
 
@@ -109,7 +106,7 @@ def _parse_bool(text: str) -> bool:
 def _cmd_dof(args) -> int:
     scenario = DofScenario(m_t=args.mt, m_r=args.mr, m_s=args.ms,
                            amax_finite=args.amax_finite,
-                           inr_scaling=InrScaling(args.inr_scaling))
+                           inr_scaling=args.inr_scaling)
     _emit({"dof": dof_upper_bound(scenario)})
     return 0
 
@@ -124,10 +121,9 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    traces = tuple(args.traces.split(",")) if args.traces else ()
     spec = SweepSpec(snr_db=args.snr_db, inr_db_start=args.inr_start,
                      inr_db_stop=args.inr_stop, inr_db_step=args.step,
-                     field=FieldKind(args.field), traces=traces)
+                     field=args.field)
     _note(args, f"sweeping {spec.points} INR points at "
                 f"SNR {args.snr_db} dB")
     result = run_sweep(spec)
@@ -247,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--inr-stop", type=float, required=True)
     p_sweep.add_argument("--step", type=float, required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--traces", default=",".join(KNOWN_TRACES),
-                         help="comma-separated subset of "
-                              "bound,tin,int_free,half_if (default: all)")
     p_sweep.add_argument("--field", choices=["real", "complex"], default="real")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -33,7 +33,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NegativeParameter, TooLarge
+from .channel import positive_dim
+from .errors import BadSpec, NegativeParameter, TooLarge
 
 # Largest dimension a scenario accepts: the rank search takes at most about
 # 1,500 steps for m_s up to here, but about 120,000 (0.7 s) at m_s = 1e20,
@@ -49,6 +50,9 @@ class InrScaling(enum.Enum):
 
 @dataclass(frozen=True)
 class DofScenario:
+    """Dimensions (``channel.positive_dim``, at most ``MAX_DOF_DIM``), a bool
+    ``amax_finite`` and an ``InrScaling`` or its value, else ``BadSpec``."""
+
     m_t: int
     m_r: int
     m_s: int
@@ -56,11 +60,17 @@ class DofScenario:
     inr_scaling: InrScaling
 
     def __post_init__(self):
-        if min(self.m_t, self.m_r, self.m_s) < 1:
-            raise NegativeParameter("dimensions must be at least 1")
         for name in ("m_t", "m_r", "m_s"):
-            if getattr(self, name) > MAX_DOF_DIM:
-                raise TooLarge(f"{name} = {getattr(self, name)} exceeds {MAX_DOF_DIM}")
+            dim = positive_dim(name, getattr(self, name))
+            if dim > MAX_DOF_DIM:
+                raise TooLarge(f"{name} = {dim} exceeds {MAX_DOF_DIM}")
+            object.__setattr__(self, name, dim)
+        if not isinstance(self.amax_finite, bool):
+            raise BadSpec(f"amax_finite must be a bool, got {self.amax_finite!r}")
+        try:
+            object.__setattr__(self, "inr_scaling", InrScaling(self.inr_scaling))
+        except ValueError:
+            raise BadSpec(f"unknown inr_scaling {self.inr_scaling!r}") from None
 
 
 def dof_fixed_rank(m0: int, m_s: int) -> float:
@@ -84,8 +94,7 @@ def dof_upper_bound(scenario: DofScenario) -> float:
     common regimes it coincides with the value at rank min(m_t, m_r).
     """
     m_star = min(scenario.m_t, scenario.m_r)
-    scaling = InrScaling(scenario.inr_scaling)    # a member or its value
-    if scenario.amax_finite and scaling is InrScaling.SUBLINEAR:
+    if scenario.amax_finite and scenario.inr_scaling is InrScaling.SUBLINEAR:
         return float(m_star)
     # Within a block of equal n = ceil(m_s / m0) the cap m0 - m_s / (n + 1)
     # rises with m0, so only m_star and each lower block's largest rank can

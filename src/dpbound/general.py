@@ -49,7 +49,9 @@ class SearchConfig:
 
     Restart r at rank target t draws from the fixed stream
     ``default_rng([0, t, r])``, so equal settings give equal bounds.
-    Settings that are not nonnegative integers raise ``NegativeParameter``.
+    Settings that are not nonnegative integers, and ``ranks`` that are not
+    None or a nonempty range or tuple of ranks (see ``_check_rank``; a
+    range is checked at its ends), raise ``NegativeParameter``.
     """
 
     restarts: int = 16
@@ -63,6 +65,19 @@ class SearchConfig:
                 raise NegativeParameter(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise NegativeParameter(f"{name} must be nonnegative, got {value}")
+        ranks = self.ranks
+        if ranks is not None:
+            if not (isinstance(ranks, (range, tuple)) and ranks):
+                raise NegativeParameter(f"ranks must be None or a nonempty range or "
+                                        f"tuple of signal ranks, got {ranks!r}")
+            for t in (ranks[0], ranks[-1]) if isinstance(ranks, range) else ranks:
+                _check_rank(t)
+
+
+def _check_rank(t) -> None:
+    """Raise ``NegativeParameter`` unless ``t`` is a positive integer (not a bool)."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 1:
+        raise NegativeParameter(f"a signal rank must be a positive integer, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -121,14 +136,11 @@ def _witness(model: ChannelModel,
 def inner_inf(model: ChannelModel, Q_x) -> tuple[AdversaryFamily, float]:
     """Minimize the objective over aligned families at the full cap.
 
-    ``objective`` picks the best candidate partition, which attains the
-    minimum over aligned families (see ``adversary``); its value is the
-    one returned, and the family for that partition is built and
-    validated once as the witness.  Any feasible family upper-bounds the
-    true infimum, so the value is always a sound surrogate (never below
-    the true inf).  A zero cap makes every full group's term, and so the
-    value, +inf (only m_s < M0, with no full group, stays finite);
-    callers fall back to the interference-free capacity.
+    Returns the best candidate partition's family, built and validated
+    once as the witness, and its ``objective``, which is exact over aligned
+    families (see ``adversary``) and, as any feasible family's value, never
+    below the true infimum.  A zero cap makes the value +inf unless
+    m_s < M0 (no full group); callers fall back to int-free.
     """
     return _witness(model, signal_subspace(model.H, Q_x))
 
@@ -216,7 +228,8 @@ def outer_sup(model: ChannelModel, M0_target: int,
     """
     search = search or SearchConfig()
     m_star = min(model.m_t, model.m_r)
-    if not 1 <= M0_target <= m_star:
+    _check_rank(M0_target)
+    if M0_target > m_star:
         raise NegativeParameter(
             f"M0_target must lie in [1, {m_star}], got {M0_target}")
     if_cap, Q_wf = water_filling(model)
@@ -285,17 +298,15 @@ def capacity_upper_bound(model: ChannelModel,
     """Best bound over all requested signal ranks, capped by the
     interference-free capacity; a case that needs no search skips the loop.
 
-    ``search.ranks`` of None tries every rank; an empty sequence is
-    rejected.  The ranks are checked in order without being copied, so a
-    long ``range`` fails at its first rank past min(m_t, m_r).
+    ``search.ranks`` of None tries every rank.  The ranks are checked
+    against min(m_t, m_r) in order without being copied, so a long
+    ``range`` fails at its first rank past it.
     """
     search = search or SearchConfig()
     m_star = min(model.m_t, model.m_r)
     targets = range(1, m_star + 1) if search.ranks is None else search.ranks
-    if not targets:
-        raise NegativeParameter("no signal rank to try: ranks is empty")
     for t in targets:
-        if not 1 <= t <= m_star:
+        if t > m_star:
             raise NegativeParameter(f"rank target {t} outside [1, {m_star}]")
 
     exact = _no_search_report(model, targets[0], water_filling(model)[0])

@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .channel import AdversaryFamily, ChannelModel, _hermitize, validate_model
+from .channel import (AdversaryFamily, ChannelModel, _hermitize, positive_dim,
+                      validate_model)
 from .errors import (InfeasiblePsi, NotRankOne, PartitionMismatch, RankZeroSignal,
                      TooLarge)
 from .general import inner_inf
@@ -23,25 +24,8 @@ from .rank1 import rank1_inputs_from_model, rank_one_bound
 from .spectral import logdet_eigvals, logdet_psd, signal_subspace
 
 SEED_LADDER = tuple(range(10))
-
-
-def _grid_objective_scalar(lam, t_arrays, m_s, M0, kappa):
-    """Vectorized objective over grids of diagonal interference powers.
-
-    ``t_arrays`` holds one broadcastable array of interference powers per
-    group term for the M0 = 1 case.
-    """
-    N = len(t_arrays)
-    divisible = (m_s % M0 == 0)
-    s = lam[0]
-    total = np.log2(1.0 + s)
-    for i, t in enumerate(t_arrays):
-        with np.errstate(divide="ignore"):
-            if i == N - 1 and not divisible:
-                total = total + np.log2(s + 1.0 + t) - np.log2(t + 0.5) + 2.0 * M0
-            else:
-                total = total + np.log2(s + 1.0 + t) - np.log2(t)
-    return kappa * total / (N + 1)
+# slack, in bits, of the log-det concavity inequality's right-hand side
+CONCAVITY_TOL = 1e-9
 
 
 def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> float:
@@ -54,6 +38,7 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
     by construction.  Guarded to m_r * m_s <= 4, at most two groups and a
     signal rank of at most two; a rank-zero signal raises RankZeroSignal,
     and a grid determinant that overflows a float raises TooLarge.
+    ``grid_resolution`` must be a positive integer (``NegativeParameter``).
 
     Three grids are minimized along one axis without visiting it, and
     each reduction returns the minimum of the whole grid:
@@ -83,6 +68,7 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
       Only the first depends on phi, through a factor that t >= 0
       multiplies, so its least value over the phi grid is taken once.
     """
+    R = positive_dim("grid_resolution", grid_resolution)
     sub = signal_subspace(model.H, Q_x)
     M0 = sub.M0
     m_s = model.m_s
@@ -98,14 +84,14 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
     kappa = model.field.kappa
     lam = np.asarray(sub.spectrum)
     v = np.asarray(model.white.eigvals)
-    R = int(grid_resolution)
     if model.a_max == 0.0:
         return math.inf
 
     if M0 == 1 and m_s == 1:
         t = np.linspace(0.0, model.a_max, R) ** 2 * v[0]
-        vals = _grid_objective_scalar(lam, [t], m_s, M0, kappa)
-        return float(np.min(vals))
+        with np.errstate(divide="ignore"):
+            total = np.log2(1.0 + lam[0]) + np.log2(lam[0] + 1.0 + t) - np.log2(t)
+        return float(np.min(kappa * total / 2))
 
     if M0 == 1 and m_s == 2:
         # two rank-one members, orthogonal under diag(v) by construction
@@ -261,14 +247,14 @@ def feasible_concavity_pairs(seed: int, count: int):
     yield from pairs
 
 
-def concavity_verdicts(M, Psi, tol: float = 1e-9) -> np.ndarray:
+def concavity_verdicts(M, Psi) -> np.ndarray:
     """Check log2 det(M+Psi) + log2 det(M-Psi) <= 2 log2 det(M) + tol per pair.
 
-    ``M`` and ``Psi`` are stacks of shape (k, n, n), real or complex; both
-    are Hermitized first.  Returns k booleans.  A pair whose left side is
-    -inf (M + Psi or M - Psi singular) holds trivially.  Raises
-    :class:`InfeasiblePsi` when any M +/- Psi is not PSD (the premise
-    fails, which says nothing about the inequality).
+    ``tol`` is ``CONCAVITY_TOL``.  ``M`` and ``Psi`` are stacks of shape
+    (k, n, n), real or complex; both are Hermitized first.  Returns k
+    booleans.  A pair whose left side is -inf (M + Psi or M - Psi singular)
+    holds trivially.  Raises :class:`InfeasiblePsi` when any M +/- Psi is
+    not PSD (the premise fails, which says nothing about the inequality).
     """
     M = np.asarray(M)
     M = _hermitize(M if np.iscomplexobj(M) else M.astype(float))
@@ -281,17 +267,13 @@ def concavity_verdicts(M, Psi, tol: float = 1e-9) -> np.ndarray:
             raise InfeasiblePsi(f"M {sign} Psi is not PSD")
     lhs = logdet_eigvals(w_plus) + logdet_eigvals(w_minus)
     rhs = 2.0 * logdet_eigvals(np.linalg.eigvalsh(M))
-    return (lhs == -math.inf) | (lhs <= rhs + tol)
+    return (lhs == -math.inf) | (lhs <= rhs + CONCAVITY_TOL)
 
 
-def logdet_concavity_check(M, Psi, tol: float = 1e-9) -> bool:
-    """Verify log2 det(M+Psi) + log2 det(M-Psi) <= 2 log2 det(M) + tol.
-
-    One pair through :func:`concavity_verdicts`.  Raises
-    :class:`InfeasiblePsi` when M +/- Psi is not PSD.
-    """
-    return bool(concavity_verdicts(np.asarray(M)[None], np.asarray(Psi)[None],
-                                   tol)[0])
+def logdet_concavity_check(M, Psi) -> bool:
+    """One pair through :func:`concavity_verdicts`: a bool, or
+    :class:`InfeasiblePsi` when M +/- Psi is not PSD."""
+    return bool(concavity_verdicts(np.asarray(M)[None], np.asarray(Psi)[None])[0])
 
 
 def _transpose(stack: np.ndarray) -> np.ndarray:

@@ -27,9 +27,9 @@ class Rank1Inputs:
     """
 
     h_norm_sq_P: float
-    v: tuple                 # positive eigenvalues of the state covariance
+    v: tuple                 # positive, finite eigenvalues of the state covariance
     a_max: float             # may be math.inf
-    kappa: float
+    kappa: float             # positive and finite
 
     def __post_init__(self):
         if not math.isfinite(self.h_norm_sq_P):
@@ -41,6 +41,10 @@ class Rank1Inputs:
         if not self.v or not all(x > 0.0 for x in self.v):
             raise NegativeParameter(
                 "state eigenvalues must be positive, and at least one is required")
+        if math.inf in self.v:
+            raise NonFinite("state eigenvalues must be finite")
+        if not 0.0 < self.kappa < math.inf:
+            raise NegativeParameter(f"kappa must be positive and finite, got {self.kappa}")
 
 
 def rank_one_bound(inputs: Rank1Inputs) -> float:

@@ -27,9 +27,13 @@ class SignalSubspace:
     vectors of H F carrying the signal spectrum, in the same order.
     """
 
-    M0: int
     U: np.ndarray
     spectrum: np.ndarray  # the M0 kept signal eigenvalues, descending
+
+    @property
+    def M0(self) -> int:
+        """The signal rank, the length of ``spectrum``."""
+        return self.spectrum.size
 
 
 def signal_spectrum(HF) -> np.ndarray:
@@ -56,7 +60,7 @@ def factor_subspace(H, F) -> SignalSubspace:
     HF = np.asarray(H) @ np.asarray(F)
     lam = signal_spectrum(HF)
     U = np.linalg.svd(HF, full_matrices=False)[0][:, :lam.size].conj().T
-    return SignalSubspace(M0=lam.size, U=_freeze(U), spectrum=_freeze(lam))
+    return SignalSubspace(U=_freeze(U), spectrum=_freeze(lam))
 
 
 def psd_factor(Q) -> np.ndarray:

@@ -20,40 +20,33 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 from . import __version__
-from .channel import FieldKind, _json_safe, db_to_power, inr_to_amax, validate_model
+from .channel import (FieldKind, _json_safe, as_field, db_to_power, inr_to_amax,
+                      validate_model)
 from .errors import BadSpec
 from .rank1 import Rank1Inputs, prelog_reference, rank_one_bound
 
 TRACE_ORDER = ("bound", "bound_eff", "tin", "int_free", "half_if")
-KNOWN_TRACES = ("bound", "tin", "int_free", "half_if")
-# grid-size cap: a 99,999-point `dpbound sweep` with the default traces
+# grid-size cap: a 99,999-point `dpbound sweep`
 # took about 1.6-2.3 s and peaked at 128 MB RSS on a 2-CPU Xeon VM
 MAX_SWEEP_POINTS = 100_000
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axis definition and requested traces for one sweep."""
+    """Axis definition for one sweep; ``field`` goes through ``as_field``."""
 
     snr_db: float
     inr_db_start: float
     inr_db_stop: float
     inr_db_step: float
     field: FieldKind = FieldKind.REAL
-    traces: tuple = ("bound", "tin", "int_free", "half_if")
     points: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("snr_db", "inr_db_start", "inr_db_stop", "inr_db_step"):
             if not math.isfinite(getattr(self, name)):
                 raise BadSpec(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.traces:
-            raise BadSpec("at least one trace must be requested")
-        unknown = [t for t in self.traces if t not in KNOWN_TRACES]
-        if unknown:
-            raise BadSpec(f"unknown traces {unknown}; known: {KNOWN_TRACES}")
-        if len(set(self.traces)) < len(self.traces):
-            raise BadSpec(f"traces {list(self.traces)} name a trace twice")
+        object.__setattr__(self, "field", as_field(self.field))
         if self.inr_db_step <= 0:
             raise BadSpec("inr_db_step must be positive")
         if self.inr_db_start > self.inr_db_stop:
@@ -75,23 +68,15 @@ class SweepResult:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every requested trace on the INR grid.
+    """Evaluate every trace on the INR grid, with SNR = P and INR = a_max^2.
 
-    The scalar convention ties the axes to the model as SNR = P and
-    INR = a_max^2 * v with unit state variance and unit channel gain.
-    The ``bound`` trace reports the raw bound (the plotted curve, which
-    may exceed the interference-free line at low INR); the effective
-    min with the interference-free capacity rides along as ``bound_eff``.
-    ``half_if`` is the prelog reference.
-
-    Each trace is the scalar case of the general function:
-    int-free is kappa log2(1 + P) (water-filling over one unit gain),
-    TIN is kappa log2(1 + P / (1 + a_max^2)) and the bound is
-    ``rank_one_bound`` with one unit state eigenvalue, +inf at a zero cap
-    (where ``bound_eff`` is int-free).  Validation only
-    rejects an overflowing a_max^2, which grows with INR, so checking the
-    model at the grid's largest INR rejects exactly what a check at every
-    point would.
+    ``bound`` is the raw ``rank_one_bound`` with one unit state eigenvalue
+    (+inf at a zero cap; it may exceed int-free at low INR) and
+    ``bound_eff`` its min with int-free, kappa log2(1 + P).  TIN is
+    kappa log2(1 + P / (1 + a_max^2)) and ``half_if`` the prelog
+    reference.  Validation only rejects an overflowing a_max^2, which grows
+    with INR, so one check at the grid's largest INR rejects exactly what
+    a check at every point would.
     """
     P = db_to_power(spec.snr_db, "SNR")
     kappa = spec.field.kappa
@@ -101,30 +86,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     int_free = kappa * math.log2(1.0 + P)
     half_if = prelog_reference(Rank1Inputs(h_norm_sq_P=P, v=(1.0,),
                                            a_max=a_max_top, kappa=kappa))
-    want = set(spec.traces)
     rows = []
     for inr_db in grid:
         a_max = inr_to_amax(inr_db)
-        row = {"inr_db": inr_db}
-        if "bound" in want:
-            raw = rank_one_bound(Rank1Inputs(h_norm_sq_P=P, v=(1.0,),
-                                             a_max=a_max, kappa=kappa))
-            row["bound"] = raw
-            row["bound_eff"] = min(raw, int_free)
-        if "tin" in want:
-            row["tin"] = kappa * math.log2(1.0 + P / (1.0 + a_max * a_max))
-        if "int_free" in want:
-            row["int_free"] = int_free
-        if "half_if" in want:
-            row["half_if"] = half_if
-        rows.append(row)
+        raw = rank_one_bound(Rank1Inputs(h_norm_sq_P=P, v=(1.0,),
+                                         a_max=a_max, kappa=kappa))
+        rows.append({"inr_db": inr_db, "bound": raw, "bound_eff": min(raw, int_free),
+                     "tin": kappa * math.log2(1.0 + P / (1.0 + a_max * a_max)),
+                     "int_free": int_free, "half_if": half_if})
     metadata = {
         "tool": "dpbound",
         "version": __version__,
         "snr_db": spec.snr_db,
         "field": spec.field.value,
         "channel": {"m_t": 1, "m_r": 1, "m_s": 1, "h": 1.0, "state_variance": 1.0},
-        "traces": list(spec.traces),
+        "traces": ["bound", "tin", "int_free", "half_if"],
         "soundness": {"bound": "Exact"},
     }
     return SweepResult(rows=tuple(rows), metadata=metadata)
@@ -150,6 +126,9 @@ def _json_row(row: dict) -> str:
 
 def emit_data_files(result: SweepResult, out_dir) -> list[str]:
     """Write one two-column .data file per trace, plus sweep.csv/sweep.json.
+
+    The traces are the ``TRACE_ORDER`` columns the first row holds, so
+    rows a caller builds may carry any of them.
 
     .data lines are "x y" with x in dB and y in bits at six significant
     digits, LF-terminated.  The CSV repeats the same formatted values so a

@@ -52,9 +52,20 @@ from dpbound.channel import (RANK_TOL, AdversaryFamily, ChannelModel, _hermitize
 from dpbound.dof import dof_fixed_rank
 from dpbound.errors import (DirtyPaperError, InfeasiblePsi, NotSquare, PartitionMismatch,
                             RankZeroSignal)
-from dpbound.oracle import _grid_objective_scalar, witness_value
+from dpbound.oracle import witness_value
 from dpbound.rank1 import Rank1Inputs, prelog_reference, rank_one_bound
 from dpbound.spectral import signal_subspace, whiten_state
+
+
+def _grid_objective_scalar(lam, t_arrays, kappa):
+    """The M0 = 1 objective over grids of interference powers, one
+    broadcastable array per group; with one signal row every group is full."""
+    s = lam[0]
+    total = np.log2(1.0 + s)
+    for t in t_arrays:
+        with np.errstate(divide="ignore"):
+            total = total + np.log2(s + 1.0 + t) - np.log2(t)
+    return kappa * total / (len(t_arrays) + 1)
 
 
 def dense_brute_force_inner_inf(model, Q_x, grid_resolution: int) -> float:
@@ -98,7 +109,7 @@ def dense_brute_force_inner_inf(model, Q_x, grid_resolution: int) -> float:
         g2 = g[None, :, None] ** 2
         t1 = g1 * w[None, None, :]
         t2 = g2 * u[None, None, :]
-        vals = _grid_objective_scalar(lam, [t1, t2], m_s, M0, kappa)
+        vals = _grid_objective_scalar(lam, [t1, t2], kappa)
         return float(np.min(vals))
 
     n_gain = max(int(round(R ** 0.25)), 12)
@@ -170,7 +181,7 @@ def numpy_fast_value(lam, v, a_max: float, m_s: int, part, kappa: float) -> floa
     lam = np.asarray(lam, dtype=float)
     v = np.asarray(v, dtype=float)
     M0 = len(lam)
-    N = part.n_groups
+    N = len(part.groups)
     divisible = (m_s % M0 == 0)
     total = float(np.sum(np.log2(1.0 + lam)))
     if math.isinf(a_max):
@@ -293,24 +304,15 @@ def model_path_sweep(spec) -> tuple:
     P = 10.0 ** (spec.snr_db / 10.0)
     kappa = spec.field.kappa
     rows = []
-    want = set(spec.traces)
     for inr_db in spec.grid():
         a_max = inr_to_amax(inr_db)
         model = validate_model(1, 1, 1, [[1.0]], [[1.0]], a_max, P, spec.field)
-        row = {"inr_db": inr_db}
         int_free = interference_free_capacity(model)
         inputs = Rank1Inputs(h_norm_sq_P=P, v=(1.0,), a_max=a_max, kappa=kappa)
-        if "bound" in want:
-            raw = rank_one_bound(inputs)
-            row["bound"] = raw
-            row["bound_eff"] = min(raw, int_free)
-        if "tin" in want:
-            row["tin"] = tin_worst_case(model)
-        if "int_free" in want:
-            row["int_free"] = int_free
-        if "half_if" in want:
-            row["half_if"] = prelog_reference(inputs)
-        rows.append(row)
+        raw = rank_one_bound(inputs)
+        rows.append({"inr_db": inr_db, "bound": raw, "bound_eff": min(raw, int_free),
+                     "tin": tin_worst_case(model), "int_free": int_free,
+                     "half_if": prelog_reference(inputs)})
     return tuple(rows)
 
 

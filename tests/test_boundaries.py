@@ -1,0 +1,75 @@
+"""Invalid input is rejected where it enters, with a ``DirtyPaperError``.
+
+One row per input that once escaped as a raw Python error or was
+accepted with a wrong answer.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dpbound import (DofScenario, FieldKind, Rank1Inputs, SearchConfig, SweepSpec,
+                     brute_force_inner_inf, dof_upper_bound, outer_sup, run_sweep,
+                     validate_model)
+from dpbound.errors import BadSpec, FieldMismatch, NegativeParameter, NonFinite
+
+MIMO = validate_model(2, 2, 2, np.eye(2), np.eye(2), 2.0, 4.0)
+SCALAR = validate_model(1, 1, 1, [[1.0]], [[1.0]], 2.0, 4.0)
+
+
+def sweep(**kw):
+    return run_sweep(SweepSpec(snr_db=10.0, inr_db_start=0.0, inr_db_stop=2.0,
+                               inr_db_step=1.0, **kw))
+
+
+BOUNDARY = {
+    # signal ranks: positive integers, never bools, checked where built
+    "ranks-float": (lambda: SearchConfig(ranks=(1.5,)), NegativeParameter),
+    "ranks-str": (lambda: SearchConfig(ranks="12"), NegativeParameter),
+    "ranks-int": (lambda: SearchConfig(ranks=2), NegativeParameter),
+    "ranks-bool": (lambda: SearchConfig(ranks=(True,)), NegativeParameter),
+    "ranks-zero": (lambda: SearchConfig(ranks=(2, 0)), NegativeParameter),
+    "ranks-empty": (lambda: SearchConfig(ranks=()), NegativeParameter),
+    "ranks-range-from-zero": (lambda: SearchConfig(ranks=range(0, 3)),
+                              NegativeParameter),
+    "outer-sup-float-rank": (lambda: outer_sup(MIMO, 2.0), NegativeParameter),
+    "outer-sup-bool-rank": (lambda: outer_sup(MIMO, True), NegativeParameter),
+    # one field rule
+    "sweep-unknown-field": (lambda: sweep(field="bogus"), FieldMismatch),
+    # DOF scenarios: integer dimensions, a bool flag, a known scaling
+    "dof-string-flag": (lambda: DofScenario(2, 2, 1, "false", "sublinear"), BadSpec),
+    "dof-fractional-dim": (lambda: DofScenario(2.5, 2, 1, True, "linear"),
+                           NegativeParameter),
+    "dof-nan-dim": (lambda: DofScenario(2, 2, math.nan, True, "linear"),
+                    NegativeParameter),
+    "dof-unknown-scaling": (lambda: DofScenario(2, 2, 1, True, "bogus"), BadSpec),
+    # grid oracle resolution
+    "grid-zero": (lambda: brute_force_inner_inf(SCALAR, [[4.0]], 0), NegativeParameter),
+    "grid-negative": (lambda: brute_force_inner_inf(SCALAR, [[4.0]], -5),
+                      NegativeParameter),
+    "grid-nan": (lambda: brute_force_inner_inf(SCALAR, [[4.0]], math.nan),
+                 NegativeParameter),
+    # rank-one closed form
+    "rank1-infinite-v": (lambda: Rank1Inputs(10.0, (math.inf,), 1.0, 0.5), NonFinite),
+    "rank1-negative-kappa": (lambda: Rank1Inputs(10.0, (1.0,), 1.0, -0.5),
+                             NegativeParameter),
+}
+
+
+@pytest.mark.parametrize("call,error", BOUNDARY.values(), ids=BOUNDARY.keys())
+def test_invalid_input_rejected_at_the_boundary(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_valid_spellings_accepted():
+    # a field name is the field, and a string flag is never read as truthy
+    assert sweep(field="real").rows == sweep(field=FieldKind.REAL).rows
+    assert sweep(field="COMPLEX").metadata["field"] == "complex"
+    assert dof_upper_bound(DofScenario(2, 2, 1, False, "sublinear")) == 1.5
+    scenario = DofScenario(2.0, 2, 1, True, "linear")
+    assert type(scenario.m_t) is int
+    # a huge range is checked at its ends, not walked; numpy integers are ranks
+    assert SearchConfig(ranks=range(1, 10 ** 18)).ranks == range(1, 10 ** 18)
+    assert SearchConfig(ranks=(np.int64(1), 2)).ranks == (1, 2)

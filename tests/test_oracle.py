@@ -15,6 +15,7 @@ from dpbound import (
     signal_subspace,
     validate_model,
 )
+from dpbound import oracle
 from dpbound.errors import InfeasiblePsi, NotRankOne, RankZeroSignal, TooLarge
 from dpbound.oracle import (
     SEED_LADDER,
@@ -130,7 +131,7 @@ def test_ladder_trials_match_scalar_stream_and_verdicts():
     assert sorted(seen) == list(range(len(reference)))
 
 
-def test_verdicts_match_scalar_check_on_edge_cases():
+def test_verdicts_match_scalar_check_on_edge_cases(monkeypatch):
     rng = np.random.default_rng(3)
     G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     M_c = G @ G.conj().T + np.eye(3)
@@ -144,11 +145,13 @@ def test_verdicts_match_scalar_check_on_edge_cases():
     ]
     M = np.stack([m for m, _ in pairs]).astype(complex)
     Psi = np.stack([p for _, p in pairs]).astype(complex)
+    assert oracle.CONCAVITY_TOL == 1e-9
     for tol in (1e-9, -0.5):
-        got = concavity_verdicts(M, Psi, tol)
+        monkeypatch.setattr(oracle, "CONCAVITY_TOL", tol)
+        got = concavity_verdicts(M, Psi)
         want = [scalar_concavity_check(m, p, tol) for m, p in zip(M, Psi)]
         assert list(got) == want
-        assert [logdet_concavity_check(m, p, tol) for m, p in zip(M, Psi)] == want
+        assert [logdet_concavity_check(m, p) for m, p in zip(M, Psi)] == want
     assert not all(want)  # a negative tolerance makes the equality cases fail
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import dpbound
 from dpbound import FieldKind, SweepSpec, emit_data_files, run_sweep
 from dpbound.errors import BadSpec
-from dpbound.sweep import KNOWN_TRACES, MAX_SWEEP_POINTS, SweepResult, _fmt
+from dpbound.sweep import MAX_SWEEP_POINTS, SweepResult, _fmt
 
 from reference_oracles import model_path_sweep, reference_sweep_json
 
@@ -22,6 +22,19 @@ def default_spec(**kw):
     return SweepSpec(**base)
 
 
+# every sweep computes these traces (and bound_eff beside bound)
+TRACES = ("bound", "tin", "int_free", "half_if")
+TRACE_SUBSETS = [subset for n in range(1, len(TRACES) + 1)
+                 for subset in itertools.combinations(TRACES, n)]
+
+
+def only(result, traces) -> SweepResult:
+    """``result`` with its rows cut to ``traces``, as a caller may build."""
+    keys = {"inr_db", *traces} | ({"bound_eff"} if "bound" in traces else set())
+    rows = tuple({k: v for k, v in row.items() if k in keys} for row in result.rows)
+    return SweepResult(rows=rows, metadata={**result.metadata, "traces": list(traces)})
+
+
 def test_grid_has_51_points():
     spec = default_spec()
     assert spec.points == len(spec.grid()) == 51
@@ -31,21 +44,6 @@ def test_single_point_grid():
     spec = default_spec(inr_db_start=5.0, inr_db_stop=5.5, inr_db_step=1.0)
     assert spec.grid() == [5.0]
     assert len(run_sweep(spec).rows) == 1
-
-
-def test_empty_traces_rejected():
-    with pytest.raises(BadSpec):
-        default_spec(traces=())
-
-
-def test_unknown_trace_rejected():
-    with pytest.raises(BadSpec):
-        default_spec(traces=("bound", "mystery"))
-
-
-def test_duplicate_trace_rejected():
-    with pytest.raises(BadSpec, match="twice"):
-        default_spec(traces=("bound", "tin", "bound"))
 
 
 def test_bad_grid_rejected():
@@ -139,14 +137,21 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_json_document(tmp_path):
-    res = run_sweep(default_spec(traces=("bound", "half_if")))
+    res = run_sweep(default_spec())
     emit_data_files(res, tmp_path)
     doc = json.loads((tmp_path / "sweep.json").read_text())
     assert doc["metadata"]["soundness"]["bound"] == "Exact"
     assert doc["metadata"]["snr_db"] == 15.0
-    assert doc["metadata"]["traces"] == ["bound", "half_if"]
+    assert doc["metadata"]["traces"] == list(TRACES)
     assert len(doc["rows"]) == 51
-    assert set(doc["rows"][0]) == {"inr_db", "bound", "bound_eff", "half_if"}
+    assert set(doc["rows"][0]) == {"inr_db", "bound_eff", *TRACES}
+
+
+def test_emitted_columns_follow_the_rows(tmp_path):
+    # rows a caller builds may carry any of the traces
+    res = only(run_sweep(default_spec()), ("bound", "half_if"))
+    names = sorted(p.split("/")[-1] for p in emit_data_files(res, tmp_path))
+    assert names == ["bound.data", "half_if.data", "sweep.csv", "sweep.json"]
     csv_lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert csv_lines[0] == "inr_db,bound,bound_eff,half_if"
 
@@ -184,10 +189,6 @@ def assert_rows_match(got, want):
                 (key, g, w)
 
 
-TRACE_SUBSETS = [subset for n in range(1, len(KNOWN_TRACES) + 1)
-                 for subset in itertools.combinations(KNOWN_TRACES, n)]
-
-
 @pytest.mark.parametrize("field", list(FieldKind))
 @pytest.mark.parametrize("snr_db", [0.0, 0.5, 15.0, 30.0])
 @pytest.mark.parametrize("step", [1.0, 0.1, 0.37])
@@ -196,13 +197,6 @@ def test_closed_form_matches_model_path(tmp_path, field, snr_db, step):
     want = model_path_sweep(spec)
     got = run_sweep(spec)
     assert_rows_match(got.rows, want)
-
-    # every trace subset gives the matching columns of the full sweep
-    for subset in TRACE_SUBSETS:
-        keys = {"inr_db", *subset} | ({"bound_eff"} if "bound" in subset else set())
-        sub = run_sweep(default_spec(snr_db=snr_db, inr_db_step=step,
-                                     field=field, traces=subset))
-        assert_rows_match(sub.rows, [{k: r[k] for k in keys} for r in want])
 
     # the plot files come out byte for byte as the oracle's rows give them
     ours = emit_data_files(got, tmp_path / "closed")
@@ -221,16 +215,7 @@ def test_zero_cap_sweep(field):
     assert_rows_match(rows, model_path_sweep(spec))
     assert rows[0]["bound"] == math.inf
     assert rows[0]["bound_eff"] == rows[0]["int_free"] > 0.0
-
-    traces = ("tin", "int_free", "half_if")
-    spec = default_spec(inr_db_start=-4000.0, inr_db_step=10.0, field=field,
-                        traces=traces)
-    rows = run_sweep(spec).rows
-    assert_rows_match(rows, model_path_sweep(spec))
-    assert rows[0]["tin"] == rows[0]["int_free"] > 0.0
-    tin_only = run_sweep(default_spec(inr_db_start=-4000.0, inr_db_step=10.0,
-                                      field=field, traces=("tin",))).rows
-    assert [r["tin"] for r in tin_only] == [r["tin"] for r in rows]
+    assert rows[0]["tin"] == rows[0]["int_free"]
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -267,14 +252,14 @@ def assert_json_matches_reference(result, out_dir):
 @pytest.mark.parametrize("field", list(FieldKind))
 @pytest.mark.parametrize("traces", TRACE_SUBSETS)
 def test_sweep_json_bytes_match_reference(tmp_path, field, traces):
-    res = run_sweep(default_spec(inr_db_step=0.37, field=field, traces=traces))
+    res = only(run_sweep(default_spec(inr_db_step=0.37, field=field)), traces)
     assert_json_matches_reference(res, tmp_path)
 
 
-@pytest.mark.parametrize("traces", [KNOWN_TRACES, ("bound",), ("tin",)])
+@pytest.mark.parametrize("traces", [TRACES, ("bound",), ("tin",)])
 def test_zero_cap_sweep_json_bytes_match_reference(tmp_path, traces):
-    res = run_sweep(default_spec(inr_db_start=-4000.0, inr_db_step=10.0,
-                                 traces=traces))
+    res = only(run_sweep(default_spec(inr_db_start=-4000.0, inr_db_step=10.0)),
+               traces)
     assert_json_matches_reference(res, tmp_path)
     if "bound" in traces:
         assert res.rows[0]["bound"] == math.inf
@@ -298,7 +283,6 @@ def test_drawn_sweep_json_bytes_match_reference(tmp_path_factory, snr_db, start,
                                                 width, points, field, traces):
     spec = SweepSpec(snr_db=snr_db, inr_db_start=start,
                      inr_db_stop=start + width,
-                     inr_db_step=max(width / points, 1e-3),
-                     field=field, traces=traces)
-    assert_json_matches_reference(run_sweep(spec),
+                     inr_db_step=max(width / points, 1e-3), field=field)
+    assert_json_matches_reference(only(run_sweep(spec), traces),
                                   tmp_path_factory.mktemp("drawn"))
