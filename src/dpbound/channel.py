@@ -169,6 +169,20 @@ class AdversaryFamily:
                         f"members {i},{j} are not Q_s-orthogonal")
 
 
+def input_covariance(model: ChannelModel, Q_x) -> np.ndarray:
+    """``Q_x`` as a matrix, if it is an m_t x m_t input covariance of ``model``.
+
+    The one Q_x rule: raises ``DimensionMismatch`` for any other shape and
+    ``NonFinite`` for a NaN or infinite entry.
+    """
+    Q = _as_matrix(Q_x, "Q_x")
+    if Q.shape != (model.m_t, model.m_t):
+        raise DimensionMismatch(f"Q_x must be {model.m_t}x{model.m_t}, got {Q.shape}")
+    if not np.isfinite(Q).all():
+        raise NonFinite("Q_x has NaN or infinite entries")
+    return Q
+
+
 def as_field(field: FieldKind | str) -> FieldKind:
     """``field`` or its name, in any case, as a ``FieldKind``, else ``FieldMismatch``."""
     if isinstance(field, str) and field.lower() in ("real", "complex"):

@@ -9,14 +9,18 @@ objective for the winning partition, whose family is built and validated
 as the witness; since every aligned family is feasible it is a sound
 surrogate for the true infimum.
 
-Three cases need no search and are decided once, in this order, as
-``Exact``: a dead channel (no interference-free capacity) has bound 0, a
-zero cap leaves the interference-free capacity, and one antenna takes the
-rank-one closed form.  Otherwise a multistart factor ascent per signal
-rank, sidestepping the rank discontinuity of the objective, estimates the
-supremum over input covariances from below, labeled ``HeuristicSup``: the
-number may undershoot the true bound, but never stops being an upper
-bound for the rates the search visited witnesses for.
+One pipeline, ``capacity_upper_bound``, computes every bound; ``outer_sup``
+is that pipeline at one rank.  It checks the rank targets and runs
+water-filling once.  Three cases need no search and are decided once, in
+this order, as ``Exact``: a dead channel (no interference-free capacity)
+has bound 0, a zero cap leaves the interference-free capacity, and one
+antenna takes the rank-one closed form.  Otherwise ``_search_rank`` runs
+a multistart factor ascent at each signal rank, sidestepping the rank
+discontinuity of the objective, and the best factor of the winning rank
+gets the one witness.  This estimates the supremum over input covariances
+from below, labeled ``HeuristicSup``: the number may undershoot the true
+bound, but never stops being an upper bound for the rate of the
+covariance it reports.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from .adversary import GroupPartition, build_family, enumerate_partitions, objective
 from .baselines import water_filling
 from .channel import (AdversaryFamily, ChannelModel, _hermitize, _json_safe,
-                      _matrix_to_json)
+                      _matrix_to_json, input_covariance)
 from .errors import NegativeParameter, RankZeroSignal
 from .rank1 import rank1_inputs_from_model, rank_one_bound
 from .spectral import (SignalSubspace, factor_subspace, psd_factor,
@@ -49,9 +53,10 @@ class SearchConfig:
 
     Restart r at rank target t draws from the fixed stream
     ``default_rng([0, t, r])``, so equal settings give equal bounds.
-    Settings that are not nonnegative integers, and ``ranks`` that are not
-    None or a nonempty range or tuple of ranks (see ``_check_rank``; a
-    range is checked at its ends), raise ``NegativeParameter``.
+    Settings that are not nonnegative integers (a bool is not one), and
+    ``ranks`` that are not None or a nonempty range or tuple of distinct
+    ranks (see ``_check_rank``; a range is checked at its ends), raise
+    ``NegativeParameter``.
     """
 
     restarts: int = 16
@@ -61,7 +66,7 @@ class SearchConfig:
     def __post_init__(self):
         for name in ("restarts", "max_iters"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise NegativeParameter(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise NegativeParameter(f"{name} must be nonnegative, got {value}")
@@ -72,6 +77,9 @@ class SearchConfig:
                                         f"tuple of signal ranks, got {ranks!r}")
             for t in (ranks[0], ranks[-1]) if isinstance(ranks, range) else ranks:
                 _check_rank(t)
+            # a range never repeats, and is never expanded
+            if isinstance(ranks, tuple) and len(set(ranks)) != len(ranks):
+                raise NegativeParameter(f"ranks must not repeat a rank, got {ranks!r}")
 
 
 def _check_rank(t) -> None:
@@ -140,9 +148,10 @@ def inner_inf(model: ChannelModel, Q_x) -> tuple[AdversaryFamily, float]:
     once as the witness, and its ``objective``, which is exact over aligned
     families (see ``adversary``) and, as any feasible family's value, never
     below the true infimum.  A zero cap makes the value +inf unless
-    m_s < M0 (no full group); callers fall back to int-free.
+    m_s < M0 (no full group); callers fall back to int-free.  ``Q_x``
+    goes through ``channel.input_covariance``.
     """
-    return _witness(model, signal_subspace(model.H, Q_x))
+    return _witness(model, signal_subspace(model.H, input_covariance(model, Q_x)))
 
 
 def _coordinate_ascent(value, F0: np.ndarray, P: float,
@@ -209,52 +218,24 @@ def _no_search_report(model: ChannelModel, M0_target: int,
     return None
 
 
-def outer_sup(model: ChannelModel, M0_target: int,
-              search: SearchConfig | None = None) -> BoundReport:
-    """Best bound found over covariances of factor rank ``M0_target``.
+def _search_rank(model: ChannelModel, value, Vh: np.ndarray, F_wf: np.ndarray,
+                 M0_target: int,
+                 search: SearchConfig) -> tuple[np.ndarray, float, int, int, bool]:
+    """Multistart factor ascent of ``value`` at signal rank ``M0_target``.
 
-    Covariances are parameterized as F F^dagger with the trace saturated at
-    P (the objective never decreases when the signal block grows, so full
-    power is optimal).  A case that needs no search returns its ``Exact``
-    report.  Each ascent step evaluates ``adversary.objective`` over the
-    candidate partitions (memoised per signal rank) at
-    ``spectral.signal_spectrum`` of H F.  The witness is built on
-    ``spectral.factor_subspace`` of the best factor, so the reported raw
-    value is the best value the search evaluated and ``M0`` is the rank it
-    was scored at; it can fall below ``diagnostics["target_rank"]``.  The
-    water-filling covariance is a start only when its signal rank is
-    ``M0_target``.  ``diagnostics["inner_method"]`` is ``"exact"``: the
-    inner minimum is over all aligned families.
+    Starts, in order: the top ``M0_target`` right singular vectors ``Vh``
+    of H at full power, the water-filling factor ``F_wf`` when its signal
+    rank is ``M0_target``, then random factors, restart r drawn from
+    ``default_rng([0, M0_target, r])``, until ``search.restarts`` starts
+    have run (the fixed starts always run).
+    Returns the best factor, its value, the number of starts, the total
+    iterations and whether any start hit ``search.max_iters``.
     """
-    search = search or SearchConfig()
-    m_star = min(model.m_t, model.m_r)
-    _check_rank(M0_target)
-    if M0_target > m_star:
-        raise NegativeParameter(
-            f"M0_target must lie in [1, {m_star}], got {M0_target}")
-    if_cap, Q_wf = water_filling(model)
-    exact = _no_search_report(model, M0_target, if_cap)
-    if exact is not None:
-        return exact
-
     H = np.asarray(model.H)
     P = model.P
-    v = model.white.eigvals.tolist()
-    m_s, a_max, kappa = model.m_s, model.a_max, model.field.kappa
-
-    def value(F):
-        """The inner minimum at covariance F F^dagger."""
-        lam = signal_spectrum(H @ F).tolist()
-        if not lam:
-            return 0.0
-        return _best_partition(enumerate_partitions(m_s, len(lam)), lam, v,
-                               a_max, m_s, kappa)[1]
-
     dtype = complex if np.iscomplexobj(H) else float
 
-    _, _, Vh = np.linalg.svd(H)
     fixed = [Vh.conj().T[:, :M0_target].astype(dtype) * math.sqrt(P / M0_target)]
-    F_wf = psd_factor(Q_wf)
     if signal_spectrum(H @ F_wf).size == M0_target:
         fixed.append(F_wf[:, -M0_target:].astype(dtype))
 
@@ -275,32 +256,29 @@ def outer_sup(model: ChannelModel, M0_target: int,
         exhausted = exhausted or flag
         if val > best_val:
             best_F, best_val = F, val
-
-    fam, raw = _witness(model, factor_subspace(H, best_F))
-    diagnostics = {
-        "mode": "multistart_ascent",
-        "target_rank": M0_target,
-        "inner_method": "exact",
-        "restarts": n_starts,
-        "iterations": total_iters,
-        "budget_exhausted": exhausted,
-        "best_Q_x": _matrix_to_json(_hermitize(best_F @ best_F.conj().T)),
-        "partition": [list(g) for g in fam.group_map],
-    }
-    return BoundReport(value_bits=min(raw, if_cap), raw_value_bits=raw,
-                       M0=fam.M0, kappa=model.field.kappa,
-                       soundness=Soundness.HEURISTIC_SUP,
-                       diagnostics=diagnostics)
+    return best_F, best_val, n_starts, total_iters, exhausted
 
 
 def capacity_upper_bound(model: ChannelModel,
                          search: SearchConfig | None = None) -> BoundReport:
     """Best bound over all requested signal ranks, capped by the
-    interference-free capacity; a case that needs no search skips the loop.
+    interference-free capacity.
 
     ``search.ranks`` of None tries every rank.  The ranks are checked
     against min(m_t, m_r) in order without being copied, so a long
-    ``range`` fails at its first rank past it.
+    ``range`` fails at its first rank past it.  A case that needs no
+    search returns its ``Exact`` report.  Otherwise each rank runs
+    ``_search_rank``; covariances are parameterized as F F^dagger with the
+    trace saturated at P (the objective never decreases when the signal
+    block grows, so full power is optimal), and each ascent step evaluates
+    ``adversary.objective`` over the candidate partitions at
+    ``spectral.signal_spectrum`` of H F.  The first rank with the strictly
+    largest value wins, and only its best factor gets a witness, built on
+    ``spectral.factor_subspace``: the reported raw value is the best value
+    the search evaluated and ``M0`` is the rank it was scored at, which can
+    fall below ``diagnostics["target_rank"]``.  ``per_rank_raw`` holds
+    each rank's best value.  ``diagnostics["inner_method"]`` is
+    ``"exact"``: the inner minimum is over all aligned families.
     """
     search = search or SearchConfig()
     m_star = min(model.m_t, model.m_r)
@@ -309,15 +287,52 @@ def capacity_upper_bound(model: ChannelModel,
         if t > m_star:
             raise NegativeParameter(f"rank target {t} outside [1, {m_star}]")
 
-    exact = _no_search_report(model, targets[0], water_filling(model)[0])
+    if_cap, Q_wf = water_filling(model)
+    exact = _no_search_report(model, targets[0], if_cap)
     if exact is not None:
         return exact
 
-    best = None
-    per_rank = {}
-    for t in targets:
-        rep = outer_sup(model, t, search)
-        per_rank[str(t)] = rep.raw_value_bits
-        if best is None or rep.raw_value_bits > best.raw_value_bits:
-            best = rep
-    return replace(best, diagnostics={**best.diagnostics, "per_rank_raw": per_rank})
+    H = np.asarray(model.H)
+    v = model.white.eigvals.tolist()
+    m_s, a_max, kappa = model.m_s, model.a_max, model.field.kappa
+
+    def value(F):
+        """The inner minimum at covariance F F^dagger."""
+        lam = signal_spectrum(H @ F).tolist()
+        if not lam:
+            return 0.0
+        return _best_partition(enumerate_partitions(m_s, len(lam)), lam, v,
+                               a_max, m_s, kappa)[1]
+
+    Vh = np.linalg.svd(H)[2]
+    F_wf = psd_factor(Q_wf)
+    found = {t: _search_rank(model, value, Vh, F_wf, t, search) for t in targets}
+    best_t = max(found, key=lambda t: found[t][1])   # the first of equal values
+    best_F, _, n_starts, total_iters, exhausted = found[best_t]
+    fam, raw = _witness(model, factor_subspace(H, best_F))
+    diagnostics = {
+        "mode": "multistart_ascent",
+        "target_rank": best_t,
+        "inner_method": "exact",
+        "restarts": n_starts,
+        "iterations": total_iters,
+        "budget_exhausted": exhausted,
+        "best_Q_x": _matrix_to_json(_hermitize(best_F @ best_F.conj().T)),
+        "partition": [list(g) for g in fam.group_map],
+        "per_rank_raw": {str(t): f[1] for t, f in found.items()},
+    }
+    return BoundReport(value_bits=min(raw, if_cap), raw_value_bits=raw,
+                       M0=fam.M0, kappa=kappa, soundness=Soundness.HEURISTIC_SUP,
+                       diagnostics=diagnostics)
+
+
+def outer_sup(model: ChannelModel, M0_target: int,
+              search: SearchConfig | None = None) -> BoundReport:
+    """``capacity_upper_bound`` at the one signal rank ``M0_target``.
+
+    ``M0_target`` goes through ``SearchConfig``'s rank rule, so a float or
+    a bool raises ``NegativeParameter``, as does a rank past
+    min(m_t, m_r).
+    """
+    return capacity_upper_bound(model, replace(search or SearchConfig(),
+                                               ranks=(M0_target,)))

@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from .channel import (AdversaryFamily, ChannelModel, _hermitize, positive_dim,
-                      validate_model)
+from .channel import (AdversaryFamily, ChannelModel, _hermitize, input_covariance,
+                      positive_dim, validate_model)
 from .errors import (InfeasiblePsi, NotRankOne, PartitionMismatch, RankZeroSignal,
                      TooLarge)
 from .general import inner_inf
@@ -38,7 +38,8 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
     by construction.  Guarded to m_r * m_s <= 4, at most two groups and a
     signal rank of at most two; a rank-zero signal raises RankZeroSignal,
     and a grid determinant that overflows a float raises TooLarge.
-    ``grid_resolution`` must be a positive integer (``NegativeParameter``).
+    ``grid_resolution`` must be a positive integer (``NegativeParameter``)
+    and ``Q_x`` pass ``channel.input_covariance``.
 
     Three grids are minimized along one axis without visiting it, and
     each reduction returns the minimum of the whole grid:
@@ -69,7 +70,7 @@ def brute_force_inner_inf(model: ChannelModel, Q_x, grid_resolution: int) -> flo
       multiplies, so its least value over the phi grid is taken once.
     """
     R = positive_dim("grid_resolution", grid_resolution)
-    sub = signal_subspace(model.H, Q_x)
+    sub = signal_subspace(model.H, input_covariance(model, Q_x))
     M0 = sub.M0
     m_s = model.m_s
     if M0 == 0:
@@ -284,8 +285,8 @@ def _witness_blocks(model: ChannelModel, Q_x,
                     fam: AdversaryFamily) -> tuple[np.ndarray, np.ndarray]:
     """I + S and a stack of S + I + T_i, then T_i (T_N + I/2 for an uneven
     last group), in the family's signal basis; the stack is empty for a
-    limit family."""
-    Q_x = np.asarray(Q_x)
+    limit family.  ``Q_x`` goes through ``channel.input_covariance``."""
+    Q_x = input_covariance(model, Q_x)
     H = np.asarray(model.H)
     G = _hermitize(H @ Q_x @ H.conj().T)
 

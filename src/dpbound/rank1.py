@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel
+from .channel import ChannelModel, _to_float
 from .errors import NegativeParameter, NonFinite, NotRankOne
 
 
@@ -23,7 +23,9 @@ class Rank1Inputs:
     """Everything the closed form depends on.
 
     The bound depends on the channel vector and power only through the
-    received signal power ``h_norm_sq_P = |h|^2 P``.
+    received signal power ``h_norm_sq_P = |h|^2 P``.  A finite cap whose
+    interference power ``a_max^2 max(v)`` overflows raises ``NonFinite``,
+    the rule ``validate_model`` applies.
     """
 
     h_norm_sq_P: float
@@ -38,11 +40,17 @@ class Rank1Inputs:
             raise NegativeParameter("received signal power must be nonnegative")
         if not self.a_max >= 0.0:
             raise NegativeParameter(f"a_max must be in [0, inf], got {self.a_max}")
+        if not isinstance(self.v, tuple):
+            raise NegativeParameter(
+                f"state eigenvalues must be a tuple, got {type(self.v).__name__}")
         if not self.v or not all(x > 0.0 for x in self.v):
             raise NegativeParameter(
                 "state eigenvalues must be positive, and at least one is required")
         if math.inf in self.v:
             raise NonFinite("state eigenvalues must be finite")
+        cap = float(_to_float(self.a_max, "a_max"))
+        if not math.isinf(cap) and math.isinf(cap * cap * max(self.v)):
+            raise NonFinite("interference power a_max^2 max(v) overflows")
         if not 0.0 < self.kappa < math.inf:
             raise NegativeParameter(f"kappa must be positive and finite, got {self.kappa}")
 
@@ -62,7 +70,7 @@ def rank_one_bound(inputs: Rank1Inputs) -> float:
     m_s = len(inputs.v)
     total = math.log2(1.0 + hp)
     if not math.isinf(inputs.a_max):
-        a2 = inputs.a_max ** 2
+        a2 = inputs.a_max * inputs.a_max
         for vi in inputs.v:
             t = a2 * vi
             if t == 0.0:
@@ -90,7 +98,7 @@ def prelog_gap_certificate(inputs: Rank1Inputs) -> dict:
     """
     m_s = len(inputs.v)
     gap_bound = inputs.kappa * m_s / (m_s + 1)
-    a2 = inputs.a_max ** 2
+    a2 = inputs.a_max * inputs.a_max
     applies = a2 > 0.0 and min(inputs.v) >= (1.0 + inputs.h_norm_sq_P) / a2
     return {"applies": applies, "gap_bound": gap_bound}
 

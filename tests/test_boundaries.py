@@ -10,12 +10,16 @@ import numpy as np
 import pytest
 
 from dpbound import (DofScenario, FieldKind, Rank1Inputs, SearchConfig, SweepSpec,
-                     brute_force_inner_inf, dof_upper_bound, outer_sup, run_sweep,
-                     validate_model)
-from dpbound.errors import BadSpec, FieldMismatch, NegativeParameter, NonFinite
+                     brute_force_inner_inf, dof_upper_bound, inner_inf, outer_sup,
+                     run_sweep, validate_model, witness_value)
+from dpbound.errors import (BadSpec, DimensionMismatch, FieldMismatch,
+                            NegativeParameter, NonFinite)
+from dpbound.oracle import witness_tolerance
 
 MIMO = validate_model(2, 2, 2, np.eye(2), np.eye(2), 2.0, 4.0)
 SCALAR = validate_model(1, 1, 1, [[1.0]], [[1.0]], 2.0, 4.0)
+FAMILY = inner_inf(MIMO, np.eye(2))[0]
+NAN_QX = [[1.0, 0.0], [0.0, math.nan]]
 
 
 def sweep(**kw):
@@ -33,8 +37,24 @@ BOUNDARY = {
     "ranks-empty": (lambda: SearchConfig(ranks=()), NegativeParameter),
     "ranks-range-from-zero": (lambda: SearchConfig(ranks=range(0, 3)),
                               NegativeParameter),
+    "ranks-repeated": (lambda: SearchConfig(ranks=(2, 1, 2)), NegativeParameter),
     "outer-sup-float-rank": (lambda: outer_sup(MIMO, 2.0), NegativeParameter),
     "outer-sup-bool-rank": (lambda: outer_sup(MIMO, True), NegativeParameter),
+    # search settings: integers, never bools
+    "restarts-bool": (lambda: SearchConfig(restarts=True), NegativeParameter),
+    "max-iters-bool": (lambda: SearchConfig(max_iters=False), NegativeParameter),
+    # one Q_x rule: an m_t x m_t matrix with finite entries
+    "inner-inf-qx-shape": (lambda: inner_inf(MIMO, np.eye(3)), DimensionMismatch),
+    "inner-inf-qx-vector": (lambda: inner_inf(MIMO, [1.0, 1.0]), DimensionMismatch),
+    "inner-inf-qx-nan": (lambda: inner_inf(MIMO, NAN_QX), NonFinite),
+    "grid-qx-shape": (lambda: brute_force_inner_inf(SCALAR, np.eye(2), 8),
+                      DimensionMismatch),
+    "grid-qx-nan": (lambda: brute_force_inner_inf(SCALAR, [[math.nan]], 8), NonFinite),
+    "witness-qx-shape": (lambda: witness_value(MIMO, np.eye(3), FAMILY),
+                         DimensionMismatch),
+    "witness-qx-nan": (lambda: witness_value(MIMO, NAN_QX, FAMILY), NonFinite),
+    "witness-tolerance-qx-inf": (lambda: witness_tolerance(
+        MIMO, [[math.inf, 0.0], [0.0, 1.0]], FAMILY), NonFinite),
     # one field rule
     "sweep-unknown-field": (lambda: sweep(field="bogus"), FieldMismatch),
     # DOF scenarios: integer dimensions, a bool flag, a known scaling
@@ -54,6 +74,15 @@ BOUNDARY = {
     "rank1-infinite-v": (lambda: Rank1Inputs(10.0, (math.inf,), 1.0, 0.5), NonFinite),
     "rank1-negative-kappa": (lambda: Rank1Inputs(10.0, (1.0,), 1.0, -0.5),
                              NegativeParameter),
+    "rank1-interference-overflow": (lambda: Rank1Inputs(10.0, (1e300,), 1e10, 0.5),
+                                    NonFinite),
+    "rank1-cap-square-overflow": (lambda: Rank1Inputs(10.0, (1.0,), 1e200, 0.5),
+                                  NonFinite),
+    "rank1-int-cap-past-float": (lambda: Rank1Inputs(10.0, (1.0,), 10 ** 400, 0.5),
+                                 NonFinite),
+    "rank1-v-array": (lambda: Rank1Inputs(10.0, np.array([1.0, 2.0]), 1.0, 0.5),
+                      NegativeParameter),
+    "rank1-v-list": (lambda: Rank1Inputs(10.0, [1.0], 1.0, 0.5), NegativeParameter),
 }
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from dpbound import model_to_json, validate_model
 from dpbound.cli import _emit, build_parser, cli_dispatch
 
 from conftest import BIG_CAP_MODEL
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -492,3 +496,24 @@ def test_sweep_rejects_unbuildable_grid(capsys, tmp_path, stop, step):
                   "--out", str(tmp_path / "x"))
     assert "points" in err
     assert not (tmp_path / "x").exists()
+
+
+def readme_commands():
+    """The argv of each ``dpbound ...`` line in README.md's CLI examples."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("dpbound ")]
+
+
+def test_readme_lists_every_command():
+    assert {argv[0] for argv in readme_commands()} == {
+        "bound", "dof", "baseline", "sweep", "verify"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda a: " ".join(a[:2]))
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch, argv):
+    # model paths are read from the checkout; outputs land in tmp_path
+    argv = [str(ROOT / a) if a.startswith("docs/") else a for a in argv]
+    monkeypatch.chdir(tmp_path)
+    code, doc = run_cli(capsys, "--quiet", *argv)
+    assert code == 0
+    assert isinstance(doc, dict)

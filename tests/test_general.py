@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -681,6 +682,32 @@ def test_reported_rank_is_witness_rank_random(rng):
             rep = outer_sup(m, t, SearchConfig(restarts=2, max_iters=20))
             assert rep.M0 == _witness_rank(m, rep)
             checked += 1
+
+
+def test_one_witness_per_bound(monkeypatch):
+    # every rank is searched, but only the winning rank's factor is built
+    built = []
+    real = dpbound.general.build_family
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dpbound.general, "build_family", spy)
+    H = [[1.0, 0.3, -0.2], [0.1, 0.8, 0.4], [-0.5, 0.2, 1.2]]
+    m = validate_model(3, 3, 3, H, np.diag([3.0, 1.0, 0.5]), 5.0, 10.0)
+    rep = capacity_upper_bound(m, SearchConfig(restarts=2, max_iters=10))
+    assert set(rep.diagnostics["per_rank_raw"]) == {"1", "2", "3"}
+    assert len(built) == 1
+
+
+def test_outer_sup_is_the_bound_at_one_rank(rng):
+    search = SearchConfig(restarts=2, max_iters=20)
+    for _ in range(8):
+        m = rand_model(rng)
+        for t in range(1, min(m.m_t, m.m_r) + 1):
+            assert outer_sup(m, t, search).to_json() == capacity_upper_bound(
+                m, replace(search, ranks=(t,))).to_json()
 
 
 def test_report_json_encodes_non_finite_at_any_depth():
