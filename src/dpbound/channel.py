@@ -51,11 +51,36 @@ class FieldKind(enum.Enum):
         return 0.5 if self is FieldKind.REAL else 1.0
 
 
-def _as_matrix(M, name: str) -> np.ndarray:
+def _matrix(M, name: str, shape: tuple[int, int], field: FieldKind) -> np.ndarray:
+    """``M`` as a float or complex array: the one rule for H, Q_s and Q_x.
+
+    Raises ``DimensionMismatch`` unless ``M`` is a 2-D matrix of ``shape``,
+    ``NonFinite`` for a NaN or infinite entry and, in a real field,
+    ``FieldMismatch`` for a nonzero imaginary part (a zero imaginary part
+    is dropped, so a real field always gives a float array).
+    """
     arr = np.asarray(M)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a 2-D matrix, got ndim={arr.ndim}")
-    return arr.astype(complex) if np.iscomplexobj(arr) else arr.astype(float)
+    if arr.shape != shape:
+        raise DimensionMismatch(f"{name} must be {shape[0]}x{shape[1]}, got {arr.shape}")
+    arr = arr.astype(complex) if np.iscomplexobj(arr) else arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise NonFinite(f"{name} has NaN or infinite entries")
+    if field is FieldKind.REAL and np.iscomplexobj(arr):
+        if np.any(arr.imag):
+            raise FieldMismatch(f"real-field model with complex {name}")
+        arr = arr.real.astype(float)
+    return arr
+
+
+def is_psd(w) -> np.ndarray:
+    """Whether each row of ascending eigenvalues ``w`` is numerically PSD.
+
+    The one PSD rule: the least eigenvalue is at least ``-EPS_PSD`` times
+    max(largest, 0), so the floor is relative and a matrix with no
+    positive eigenvalue must have none below zero.
+    """
+    w = np.asarray(w)
+    return w[..., 0] >= -EPS_PSD * np.maximum(w[..., -1], 0.0)
 
 
 def _hermitize(M: np.ndarray) -> np.ndarray:
@@ -85,21 +110,23 @@ def whiten_state(Q_s) -> WhitenedState:
     """One ``eigh`` of the Hermitian part of Q_s, sorted descending.
 
     The one Q_s rule, kept by ``validate_model`` as ``ChannelModel.white``.
-    Raises ``QsRankDeficient`` for a largest eigenvalue that is not
-    positive, then ``NotPSD`` for a least one below ``-EPS_PSD`` times it
-    and ``QsRankDeficient`` for one at most ``RANK_TOL`` times it.
+    Q_s passes the matrix rule as a square matrix of either field
+    (``DimensionMismatch``, ``NonFinite``).  Raises ``QsRankDeficient``
+    for an empty Q_s or a largest eigenvalue that is not positive, then
+    ``NotPSD`` below the floor of :func:`is_psd` and ``QsRankDeficient``
+    for a least eigenvalue at most ``RANK_TOL`` times the largest.
     """
-    w, E = np.linalg.eigh(_hermitize(np.asarray(Q_s)))
-    w, E = w[::-1], E[:, ::-1]
-    top, low = float(w[0]), float(w[-1])
-    if top <= 0.0:
-        raise QsRankDeficient("Q_s is zero or negative semidefinite")
-    if low < -EPS_PSD * top:
-        raise NotPSD(f"Q_s has eigenvalue {low:g} below the PSD tolerance")
-    if low <= RANK_TOL * top:
+    Q = np.asarray(Q_s)
+    n = Q.shape[0] if Q.ndim else 0
+    w, E = np.linalg.eigh(_hermitize(_matrix(Q, "Q_s", (n, n), FieldKind.COMPLEX)))
+    if not (w.size and w[-1] > 0.0):
+        raise QsRankDeficient("Q_s is empty, zero or negative semidefinite")
+    if not is_psd(w):
+        raise NotPSD(f"Q_s has eigenvalue {w[0]:g} below the PSD tolerance")
+    if w[0] <= RANK_TOL * w[-1]:
         raise QsRankDeficient(
-            f"Q_s eigenvalue {low:g} is below the rank tolerance; full rank required")
-    return WhitenedState(eigvecs=_freeze(E), eigvals=_freeze(w))
+            f"Q_s eigenvalue {w[0]:g} is below the rank tolerance; full rank required")
+    return WhitenedState(eigvecs=_freeze(E[:, ::-1]), eigvals=_freeze(w[::-1]))
 
 
 @dataclass(frozen=True)
@@ -172,14 +199,17 @@ class AdversaryFamily:
 def input_covariance(model: ChannelModel, Q_x) -> np.ndarray:
     """``Q_x`` as a matrix, if it is an m_t x m_t input covariance of ``model``.
 
-    The one Q_x rule: raises ``DimensionMismatch`` for any other shape and
-    ``NonFinite`` for a NaN or infinite entry.
+    The one Q_x rule: the matrix rule in the model's field
+    (``DimensionMismatch``, ``NonFinite``, ``FieldMismatch``), then the
+    floor of :func:`is_psd` on the Hermitian part (``NotPSD``), with no
+    rank requirement, so a zero or rank-deficient Q_x is legal.  Q_x is
+    returned as given, not its Hermitian part; a non-Hermitian Q_x is read
+    by its Hermitian part downstream, as Q_s is.
     """
-    Q = _as_matrix(Q_x, "Q_x")
-    if Q.shape != (model.m_t, model.m_t):
-        raise DimensionMismatch(f"Q_x must be {model.m_t}x{model.m_t}, got {Q.shape}")
-    if not np.isfinite(Q).all():
-        raise NonFinite("Q_x has NaN or infinite entries")
+    Q = _matrix(Q_x, "Q_x", (model.m_t, model.m_t), model.field)
+    w = np.linalg.eigvalsh(_hermitize(Q))
+    if not is_psd(w):
+        raise NotPSD(f"Q_x has eigenvalue {w[0]:g} below the PSD tolerance")
     return Q
 
 
@@ -207,10 +237,11 @@ def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
     """Validate a raw channel description and return an immutable model.
 
     ``field`` goes through :func:`as_field` and each dimension through
-    :func:`positive_dim`; ``Q_s`` is symmetrized and passed to
-    :func:`whiten_state` (``NotPSD``, ``QsRankDeficient``), kept as
-    ``white``.  Raises ``DimensionMismatch``, ``NegativeParameter`` or
-    ``NonFinite`` (NaN or inf in ``H`` or ``Q_s``, ``P = inf``, a ``P`` or
+    :func:`positive_dim`; ``H`` and ``Q_s`` pass the matrix rule in that
+    field (``DimensionMismatch``, ``NonFinite``, ``FieldMismatch``), and
+    ``Q_s`` is symmetrized and passed to :func:`whiten_state` (``NotPSD``,
+    ``QsRankDeficient``), kept as ``white``.  Raises ``NegativeParameter``
+    or ``NonFinite`` (``P = inf``, a ``P`` or
     ``a_max`` too large for a float, or an overflowing ``P ||H||_F^2`` or
     finite-cap ``a_max^2 lambda_max(Q_s)``; ``a_max = inf`` and
     underflowing caps are legal).  Validation is idempotent: feeding an
@@ -228,25 +259,8 @@ def validate_model(m_t: int, m_r: int, m_s: int, H, Q_s, a_max, P,
     if math.isnan(a_max) or a_max < 0.0:
         raise NegativeParameter(f"a_max must be in [0, inf], got {a_max}")
 
-    H = _as_matrix(H, "H")
-    if H.shape != (m_r, m_t):
-        raise DimensionMismatch(f"H must be {m_r}x{m_t}, got {H.shape}")
-    if not np.isfinite(H).all():
-        raise NonFinite("H has NaN or infinite entries")
-    Q = _as_matrix(Q_s, "Q_s")
-    if Q.shape != (m_s, m_s):
-        raise DimensionMismatch(f"Q_s must be {m_s}x{m_s}, got {Q.shape}")
-    if not np.isfinite(Q).all():
-        raise NonFinite("Q_s has NaN or infinite entries")
-    if field is FieldKind.REAL:
-        if np.iscomplexobj(H) and np.abs(H.imag).max() > 0:
-            raise FieldMismatch("real-field model with complex H")
-        if np.iscomplexobj(Q) and np.abs(Q.imag).max() > 0:
-            raise FieldMismatch("real-field model with complex Q_s")
-        H = np.real(H).astype(float)
-        Q = np.real(Q).astype(float)
-
-    Q = _hermitize(Q)
+    H = _matrix(H, "H", (m_r, m_t), field)
+    Q = _hermitize(_matrix(Q_s, "Q_s", (m_s, m_s), field))
     white = whiten_state(Q)
     top = float(white.eigvals[0])
     if not math.isfinite(P * float(np.vdot(H, H).real)):

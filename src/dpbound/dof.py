@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .channel import positive_dim
-from .errors import BadSpec, NegativeParameter, TooLarge
+from .errors import BadSpec, TooLarge
 
 # Largest dimension a scenario accepts: the rank search takes at most about
 # 1,500 steps for m_s up to here, but about 120,000 (0.7 s) at m_s = 1e20,
@@ -77,9 +77,10 @@ def dof_fixed_rank(m0: int, m_s: int) -> float:
     """DOF cap when the received signal occupies exactly m0 dimensions:
 
     [m0 * (ceil(m_s / m0) + 1) - m_s] / (ceil(m_s / m0) + 1)
+
+    Both dimensions go through ``channel.positive_dim``.
     """
-    if m0 < 1 or m_s < 1:
-        raise NegativeParameter("m0 and m_s must be at least 1")
+    m0, m_s = positive_dim("m0", m0), positive_dim("m_s", m_s)
     n = -(-m_s // m0)
     return (m0 * (n + 1) - m_s) / (n + 1)
 

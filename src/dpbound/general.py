@@ -82,6 +82,16 @@ class SearchConfig:
                 raise NegativeParameter(f"ranks must not repeat a rank, got {ranks!r}")
 
 
+def _search_config(search) -> SearchConfig:
+    """``search``, or the default settings for None; anything else raises
+    ``NegativeParameter``, the class of every other ``SearchConfig`` rule."""
+    if search is None:
+        return SearchConfig()
+    if not isinstance(search, SearchConfig):
+        raise NegativeParameter(f"search must be None or a SearchConfig, got {search!r}")
+    return search
+
+
 def _check_rank(t) -> None:
     """Raise ``NegativeParameter`` unless ``t`` is a positive integer (not a bool)."""
     if isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 1:
@@ -278,9 +288,11 @@ def capacity_upper_bound(model: ChannelModel,
     the search evaluated and ``M0`` is the rank it was scored at, which can
     fall below ``diagnostics["target_rank"]``.  ``per_rank_raw`` holds
     each rank's best value.  ``diagnostics["inner_method"]`` is
-    ``"exact"``: the inner minimum is over all aligned families.
+    ``"exact"``: the inner minimum is over all aligned families.  A
+    ``search`` that is neither None nor a ``SearchConfig`` raises
+    ``NegativeParameter``.
     """
-    search = search or SearchConfig()
+    search = _search_config(search)
     m_star = min(model.m_t, model.m_r)
     targets = range(1, m_star + 1) if search.ranks is None else search.ranks
     for t in targets:
@@ -332,7 +344,8 @@ def outer_sup(model: ChannelModel, M0_target: int,
 
     ``M0_target`` goes through ``SearchConfig``'s rank rule, so a float or
     a bool raises ``NegativeParameter``, as does a rank past
-    min(m_t, m_r).
+    min(m_t, m_r) or a ``search`` that is neither None nor a
+    ``SearchConfig``.
     """
-    return capacity_upper_bound(model, replace(search or SearchConfig(),
+    return capacity_upper_bound(model, replace(_search_config(search),
                                                ranks=(M0_target,)))

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .channel import (AdversaryFamily, ChannelModel, _hermitize, input_covariance,
-                      positive_dim, validate_model)
+                      is_psd, positive_dim, validate_model)
 from .errors import (InfeasiblePsi, NotRankOne, PartitionMismatch, RankZeroSignal,
                      TooLarge)
 from .general import inner_inf
@@ -254,17 +254,17 @@ def concavity_verdicts(M, Psi) -> np.ndarray:
     ``tol`` is ``CONCAVITY_TOL``.  ``M`` and ``Psi`` are stacks of shape
     (k, n, n), real or complex; both are Hermitized first.  Returns k
     booleans.  A pair whose left side is -inf (M + Psi or M - Psi singular)
-    holds trivially.  Raises :class:`InfeasiblePsi` when any M +/- Psi is
-    not PSD (the premise fails, which says nothing about the inequality).
+    holds trivially.  Raises :class:`InfeasiblePsi` when any M +/- Psi
+    fails the PSD floor of ``channel.is_psd`` (the premise fails, which
+    says nothing about the inequality).
     """
     M = np.asarray(M)
     M = _hermitize(M if np.iscomplexobj(M) else M.astype(float))
     Psi = _hermitize(np.asarray(Psi, dtype=M.dtype))
-    scale = np.maximum(np.linalg.norm(M, axis=(-2, -1)), 1e-300)
     w_plus = np.linalg.eigvalsh(M + Psi)
     w_minus = np.linalg.eigvalsh(M - Psi)
     for sign, w in (("+", w_plus), ("-", w_minus)):
-        if np.any(w[:, 0] < -1e-10 * scale):
+        if not np.all(is_psd(w)):
             raise InfeasiblePsi(f"M {sign} Psi is not PSD")
     lhs = logdet_eigvals(w_plus) + logdet_eigvals(w_minus)
     rhs = 2.0 * logdet_eigvals(np.linalg.eigvalsh(M))

@@ -65,8 +65,10 @@ def factor_subspace(H, F) -> SignalSubspace:
 
 def psd_factor(Q) -> np.ndarray:
     """A factor F with F F^dagger = Q for PSD ``Q``: its eigenvectors
-    scaled by the root eigenvalues, ascending, with negative rounding
-    clipped to zero."""
+    scaled by the root eigenvalues, ascending, with negative eigenvalues
+    clipped to zero.  Within the bound, ``Q`` is a water-filling covariance
+    or a Q_x that ``channel.input_covariance`` held to the PSD floor, so
+    the clip removes only rounding."""
     w, V = np.linalg.eigh(_hermitize(np.asarray(Q)))
     return V * np.sqrt(np.clip(w, 0.0, None))
 

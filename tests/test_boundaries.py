@@ -10,16 +10,26 @@ import numpy as np
 import pytest
 
 from dpbound import (DofScenario, FieldKind, Rank1Inputs, SearchConfig, SweepSpec,
-                     brute_force_inner_inf, dof_upper_bound, inner_inf, outer_sup,
-                     run_sweep, validate_model, witness_value)
+                     brute_force_inner_inf, capacity_upper_bound, dof_fixed_rank,
+                     dof_upper_bound, inner_inf, outer_sup, run_sweep, validate_model,
+                     whiten_state, witness_value)
+from dpbound.channel import EPS_PSD
 from dpbound.errors import (BadSpec, DimensionMismatch, FieldMismatch,
-                            NegativeParameter, NonFinite)
+                            NegativeParameter, NonFinite, NotPSD, QsRankDeficient)
 from dpbound.oracle import witness_tolerance
 
 MIMO = validate_model(2, 2, 2, np.eye(2), np.eye(2), 2.0, 4.0)
 SCALAR = validate_model(1, 1, 1, [[1.0]], [[1.0]], 2.0, 4.0)
 FAMILY = inner_inf(MIMO, np.eye(2))[0]
 NAN_QX = [[1.0, 0.0], [0.0, math.nan]]
+INDEFINITE_QX = [[4.0, 0.0], [0.0, -4.0]]
+COMPLEX_QX = [[1.0, 0.5j], [-0.5j, 1.0]]   # Hermitian PSD, but complex
+# each Q_x entry point, as a function of Q_x
+QX_ENTRY_POINTS = {
+    "inner-inf": lambda Q_x: inner_inf(MIMO, Q_x),
+    "witness": lambda Q_x: witness_value(MIMO, Q_x, FAMILY),
+    "witness-tolerance": lambda Q_x: witness_tolerance(MIMO, Q_x, FAMILY),
+}
 
 
 def sweep(**kw):
@@ -55,6 +65,29 @@ BOUNDARY = {
     "witness-qx-nan": (lambda: witness_value(MIMO, NAN_QX, FAMILY), NonFinite),
     "witness-tolerance-qx-inf": (lambda: witness_tolerance(
         MIMO, [[math.inf, 0.0], [0.0, 1.0]], FAMILY), NonFinite),
+    # ... that is PSD (no rank required) and, on a real model, real
+    **{f"{name}-qx-{label}": ((lambda f=f, Q_x=Q_x: f(Q_x)), error)
+       for name, f in QX_ENTRY_POINTS.items()
+       for label, Q_x, error in (("indefinite", INDEFINITE_QX, NotPSD),
+                                 ("negative", -np.eye(2), NotPSD),
+                                 ("complex-on-real", COMPLEX_QX, FieldMismatch))},
+    "grid-qx-negative": (lambda: brute_force_inner_inf(SCALAR, [[-4.0]], 8), NotPSD),
+    "grid-qx-complex-on-real": (lambda: brute_force_inner_inf(MIMO, COMPLEX_QX, 8),
+                                FieldMismatch),
+    # the same matrix rule for Q_s, through the public whiten_state
+    "whiten-nan": (lambda: whiten_state([[math.nan]]), NonFinite),
+    "whiten-row": (lambda: whiten_state([[1.0, 0.0]]), DimensionMismatch),
+    "whiten-vector": (lambda: whiten_state([1.0, 2.0]), DimensionMismatch),
+    "whiten-empty": (lambda: whiten_state(np.zeros((0, 0))), QsRankDeficient),
+    # search settings: None or a SearchConfig, never a dict read as defaults
+    "bound-search-dict": (lambda: capacity_upper_bound(MIMO, {"restarts": 2}),
+                          NegativeParameter),
+    "bound-search-empty-dict": (lambda: capacity_upper_bound(MIMO, {}),
+                                NegativeParameter),
+    "bound-search-zero": (lambda: capacity_upper_bound(MIMO, 0), NegativeParameter),
+    "outer-sup-search-dict": (lambda: outer_sup(MIMO, 1, {"restarts": 2}),
+                              NegativeParameter),
+    "outer-sup-search-empty-dict": (lambda: outer_sup(MIMO, 1, {}), NegativeParameter),
     # one field rule
     "sweep-unknown-field": (lambda: sweep(field="bogus"), FieldMismatch),
     # DOF scenarios: integer dimensions, a bool flag, a known scaling
@@ -64,6 +97,10 @@ BOUNDARY = {
     "dof-nan-dim": (lambda: DofScenario(2, 2, math.nan, True, "linear"),
                     NegativeParameter),
     "dof-unknown-scaling": (lambda: DofScenario(2, 2, 1, True, "bogus"), BadSpec),
+    "dof-rank-fractional": (lambda: dof_fixed_rank(2.5, 3), NegativeParameter),
+    "dof-rank-nan": (lambda: dof_fixed_rank(math.nan, 3), NegativeParameter),
+    "dof-rank-inf-ms": (lambda: dof_fixed_rank(1, math.inf), NegativeParameter),
+    "dof-rank-str": (lambda: dof_fixed_rank("2", 3), NegativeParameter),
     # grid oracle resolution
     "grid-zero": (lambda: brute_force_inner_inf(SCALAR, [[4.0]], 0), NegativeParameter),
     "grid-negative": (lambda: brute_force_inner_inf(SCALAR, [[4.0]], -5),
@@ -102,3 +139,11 @@ def test_valid_spellings_accepted():
     # a huge range is checked at its ends, not walked; numpy integers are ranks
     assert SearchConfig(ranks=range(1, 10 ** 18)).ranks == range(1, 10 ** 18)
     assert SearchConfig(ranks=(np.int64(1), 2)).ranks == (1, 2)
+    # the PSD floor is relative: a rank-one F F^T whose rounding leaves a
+    # least eigenvalue below -EPS_PSD in absolute terms is accepted
+    F = 2.0 ** 15 * np.array([[1.0], [1.0 / 3.0]])
+    Q_x = F @ F.T
+    assert np.linalg.eigvalsh(Q_x)[0] < -EPS_PSD
+    fam, value = inner_inf(MIMO, Q_x)
+    assert witness_value(MIMO, Q_x, fam) == value
+    assert dof_fixed_rank(2.0, 3) == dof_fixed_rank(2, 3) == 1.0
