@@ -54,18 +54,37 @@ class FieldKind(enum.Enum):
 def _matrix(M, name: str, shape: tuple[int, int], field: FieldKind) -> np.ndarray:
     """``M`` as a float or complex array: the one rule for H, Q_s and Q_x.
 
-    Raises ``DimensionMismatch`` unless ``M`` is a 2-D matrix of ``shape``,
-    ``NonFinite`` for a NaN or infinite entry and, in a real field,
+    Raises ``DimensionMismatch`` unless ``M`` is a 2-D matrix of ``shape``
+    (a ragged nested list included), ``BadSpec`` for an entry that is not a
+    number (a string or None, say), ``NonFinite`` for a NaN or infinite
+    entry or one too large for a float and, in a real field,
     ``FieldMismatch`` for a nonzero imaginary part (a zero imaginary part
     is dropped, so a real field always gives a float array).
     """
-    arr = np.asarray(M)
+    try:
+        arr = np.asarray(M)
+    except ValueError:
+        raise DimensionMismatch(f"{name} must be a {shape[0]}x{shape[1]} matrix, "
+                                f"got a ragged array") from None
     if arr.shape != shape:
         raise DimensionMismatch(f"{name} must be {shape[0]}x{shape[1]}, got {arr.shape}")
-    arr = arr.astype(complex) if np.iscomplexobj(arr) else arr.astype(float)
+    if arr.dtype == object:
+        if not all(isinstance(x, numbers.Number) for x in arr.flat):
+            raise BadSpec(f"{name} has an entry that is not a number")
+        is_complex = not all(isinstance(x, numbers.Real) for x in arr.flat)
+    elif arr.dtype.kind in "biufc":
+        is_complex = arr.dtype.kind == "c"
+    else:
+        raise BadSpec(f"{name} has entries of type {arr.dtype}, not numbers")
+    try:
+        arr = arr.astype(complex if is_complex else float)
+    except OverflowError:
+        raise NonFinite(f"{name} has an entry too large for a float") from None
+    except (TypeError, ValueError):
+        raise BadSpec(f"{name} has an entry that is not a number") from None
     if not np.isfinite(arr).all():
         raise NonFinite(f"{name} has NaN or infinite entries")
-    if field is FieldKind.REAL and np.iscomplexobj(arr):
+    if field is FieldKind.REAL and is_complex:
         if np.any(arr.imag):
             raise FieldMismatch(f"real-field model with complex {name}")
         arr = arr.real.astype(float)

@@ -15,12 +15,40 @@ water-filling once.  Three cases need no search and are decided once, in
 this order, as ``Exact``: a dead channel (no interference-free capacity)
 has bound 0, a zero cap leaves the interference-free capacity, and one
 antenna takes the rank-one closed form.  Otherwise ``_search_rank`` runs
-a multistart factor ascent at each signal rank, sidestepping the rank
-discontinuity of the objective, and the best factor of the winning rank
-gets the one witness.  This estimates the supremum over input covariances
-from below, labeled ``HeuristicSup``: the number may undershoot the true
-bound, but never stops being an upper bound for the rate of the
-covariance it reports.
+a multistart factor ascent at the signal ranks that can win, sidestepping
+the rank discontinuity of the objective, and the best factor of the
+winning rank gets the one witness.  This estimates the supremum over
+input covariances from below, labeled ``HeuristicSup``: the number may
+undershoot the true bound, but never stops being an upper bound for the
+rate of the covariance it reports.
+
+Each rank t has a proven upper end U_t, and the search skips the ranks
+whose upper end lies below a value already found.  The rank-t search
+scores factors F (m_t x t, ||F||_F^2 = P) at the spectrum lam of H F, of
+some length k <= t.  With s the singular values of H, descending,
+sigma_r(H F) <= s_r sigma_1(F) <= s_r ||F||_F, so lam_r <= s_r^2 P.  Every
+slot cost and the signal term of ``adversary.objective`` grow with each
+lam_r, and the other terms are constants, so each candidate partition's
+objective, and their minimum, never decreases when any lam_r grows.  So
+the value of F is at most the inner minimum V_k at (s_1^2 P, ..., s_k^2 P),
+and U_t = max(V_1, ..., V_t) bounds every value the rank-t search can
+score: the max over k covers a spectrum that collapses below t, and the
+empty spectrum scores 0, below every V_k.  U_t never decreases in t.
+
+The search computes in floating point, so ``_rank_uppers`` evaluates V_k
+at the larger spectrum P (s_r + ``UPPER_SV_SLACK`` s_1)^2, which covers
+the rounding of ``svd`` on H and on H F and of the product H F (errors
+of order eps s_1 sqrt(P)), and the skip asks for U_t plus the margin
+``UPPER_BITS_SLACK`` (1 + |U_t|) bits, which covers the rounding of the
+objective's log2 terms, to lie below the best value.  The ranks are
+searched from the top down, and the search stops at the first rank that
+fails this test: every lower rank has a smaller or equal U_t, so it is
+ruled out too.  A skipped rank's every value lies below the best one, so
+the first rank with the strictly largest value among the searched ranks
+is the rank that searching every rank would pick, with the same factor
+and value.  The treat-interference-as-noise (TIN) sandwich holds as
+well: the water-filling start's value is at most its rank's U_t, so when
+that rank is skipped the best value already exceeds it.
 """
 
 from __future__ import annotations
@@ -40,6 +68,12 @@ from .errors import NegativeParameter, RankZeroSignal
 from .rank1 import rank1_inputs_from_model, rank_one_bound
 from .spectral import (SignalSubspace, factor_subspace, psd_factor,
                        signal_spectrum, signal_subspace)
+
+
+# Slack of the rank upper ends (see the module docstring): relative to the
+# largest singular value of H, and relative to 1 + |U_t| in bits.
+UPPER_SV_SLACK = 1e-10
+UPPER_BITS_SLACK = 1e-9
 
 
 class Soundness(enum.Enum):
@@ -164,18 +198,38 @@ def inner_inf(model: ChannelModel, Q_x) -> tuple[AdversaryFamily, float]:
     return _witness(model, signal_subspace(model.H, input_covariance(model, Q_x)))
 
 
-def _coordinate_ascent(value, F0: np.ndarray, P: float,
+def _renorm(F: np.ndarray, scale: float) -> None:
+    """Scale ``F`` in place onto the Frobenius sphere of radius ``scale``;
+    a zero ``F`` is left as it is.
+
+    The squared norm is the dot product ``np.linalg.norm`` takes (of the
+    real and imaginary parts for a complex ``F``), so the bits match it.
+    """
+    x = F.ravel()
+    if np.iscomplexobj(x):
+        n = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    else:
+        n = math.sqrt(x.dot(x))
+    if n > 0:
+        F *= scale / n
+
+
+def _coordinate_ascent(values, F0: np.ndarray, P: float,
                        max_iters: int) -> tuple[np.ndarray, float, int, bool]:
-    """Maximize ``value(F)`` over factors on the Frobenius sphere of radius
-    sqrt(P)."""
+    """Maximize the value of a factor on the Frobenius sphere of radius
+    sqrt(P).
+
+    ``values`` scores a stack of factors, one value each.  Each coordinate
+    tries the steps +step, -step (and +/-i step when complex) in turn, each
+    from the factor the earlier steps left, and keeps a step that raises
+    the value.  The steps are scored in one stack; after a kept step the
+    remaining ones are scored again from the new factor, so the path is
+    that of scoring one step at a time.
+    """
     scale = math.sqrt(P)
-
-    def renorm(F):
-        n = float(np.linalg.norm(F))
-        return F * (scale / n) if n > 0 else F
-
-    F = renorm(F0.copy())
-    best = value(F)
+    F = F0.copy()
+    _renorm(F, scale)
+    best = values(F[None])[0]
     step = 0.25 * scale
     is_complex = np.iscomplexobj(F)
     iters = 0
@@ -189,14 +243,18 @@ def _coordinate_ascent(value, F0: np.ndarray, P: float,
         for idx in np.ndindex(F.shape):
             deltas = (step, -step, 1j * step, -1j * step) if is_complex \
                 else (step, -step)
-            for d in deltas:
-                cand = F.copy()
-                cand[idx] += d
-                cand = renorm(cand)
-                val = value(cand)
-                if val > best:
-                    improved += val - best
-                    F, best = cand, val
+            j = 0
+            while j < len(deltas):
+                cands = np.repeat(F[None], len(deltas) - j, axis=0)
+                for cand, d in zip(cands, deltas[j:]):
+                    cand[idx] += d
+                    _renorm(cand, scale)
+                for cand, val in zip(cands, values(cands)):
+                    j += 1
+                    if val > best:
+                        improved += val - best
+                        F, best = cand, val
+                        break
         if improved <= 1e-8 * (abs(best) + 1e-12):
             step *= 0.5
             if step < 1e-9 * scale:
@@ -228,10 +286,10 @@ def _no_search_report(model: ChannelModel, M0_target: int,
     return None
 
 
-def _search_rank(model: ChannelModel, value, Vh: np.ndarray, F_wf: np.ndarray,
+def _search_rank(model: ChannelModel, values, Vh: np.ndarray, F_wf: np.ndarray,
                  M0_target: int,
                  search: SearchConfig) -> tuple[np.ndarray, float, int, int, bool]:
-    """Multistart factor ascent of ``value`` at signal rank ``M0_target``.
+    """Multistart factor ascent of ``values`` at signal rank ``M0_target``.
 
     Starts, in order: the top ``M0_target`` right singular vectors ``Vh``
     of H at full power, the water-filling factor ``F_wf`` when its signal
@@ -261,12 +319,49 @@ def _search_rank(model: ChannelModel, value, Vh: np.ndarray, F_wf: np.ndarray,
 
     best_F, best_val, total_iters, exhausted = None, -math.inf, 0, False
     for n_starts, F0 in enumerate(starts(), 1):
-        F, val, iters, flag = _coordinate_ascent(value, F0, P, search.max_iters)
+        F, val, iters, flag = _coordinate_ascent(values, F0, P, search.max_iters)
         total_iters += iters
         exhausted = exhausted or flag
         if val > best_val:
             best_F, best_val = F, val
     return best_F, best_val, n_starts, total_iters, exhausted
+
+
+def _scorers(model: ChannelModel):
+    """The inner minimum as a function of a signal spectrum, and of a stack
+    of factors.
+
+    ``score(lam)`` takes a descending list of floats (0.0 for an empty
+    one); ``values(Fs)`` scores each F of the stack ``Fs`` at the
+    ``spectral.signal_spectrum`` of H F.
+    """
+    H = np.asarray(model.H)
+    v = model.white.eigvals.tolist()
+    m_s, a_max, kappa = model.m_s, model.a_max, model.field.kappa
+
+    def score(lam):
+        if not lam:
+            return 0.0
+        return _best_partition(enumerate_partitions(m_s, len(lam)), lam, v,
+                               a_max, m_s, kappa)[1]
+
+    def values(Fs):
+        return [score(lam.tolist()) for lam in signal_spectrum(H @ Fs)]
+
+    return score, values
+
+
+def _rank_uppers(score, s: np.ndarray, P: float, ranks) -> dict:
+    """U_t for each rank t of ``ranks``: the largest inner minimum at the
+    top k <= t upper ends P (s_r + ``UPPER_SV_SLACK`` s_1)^2 of the signal
+    spectrum, for the singular values ``s`` of H (see the module
+    docstring)."""
+    mu = (P * (s + UPPER_SV_SLACK * s[0]) ** 2).tolist()
+    upper, U = [], 0.0
+    for k in range(1, max(ranks) + 1):
+        U = max(U, score(mu[:k]))
+        upper.append(U)
+    return {t: upper[t - 1] for t in ranks}
 
 
 def capacity_upper_bound(model: ChannelModel,
@@ -277,20 +372,24 @@ def capacity_upper_bound(model: ChannelModel,
     ``search.ranks`` of None tries every rank.  The ranks are checked
     against min(m_t, m_r) in order without being copied, so a long
     ``range`` fails at its first rank past it.  A case that needs no
-    search returns its ``Exact`` report.  Otherwise each rank runs
-    ``_search_rank``; covariances are parameterized as F F^dagger with the
-    trace saturated at P (the objective never decreases when the signal
-    block grows, so full power is optimal), and each ascent step evaluates
+    search returns its ``Exact`` report.  Otherwise the ranks run
+    ``_search_rank`` from the top down, until a rank's upper end U_t
+    (``_rank_uppers``), plus its margin, lies below the best value found;
+    that rank and every lower one are skipped (see the module docstring).
+    Covariances are parameterized as F F^dagger with the trace saturated
+    at P (the objective never decreases when the signal block grows, so
+    full power is optimal), and each ascent step evaluates
     ``adversary.objective`` over the candidate partitions at
-    ``spectral.signal_spectrum`` of H F.  The first rank with the strictly
-    largest value wins, and only its best factor gets a witness, built on
-    ``spectral.factor_subspace``: the reported raw value is the best value
-    the search evaluated and ``M0`` is the rank it was scored at, which can
-    fall below ``diagnostics["target_rank"]``.  ``per_rank_raw`` holds
-    each rank's best value.  ``diagnostics["inner_method"]`` is
-    ``"exact"``: the inner minimum is over all aligned families.  A
-    ``search`` that is neither None nor a ``SearchConfig`` raises
-    ``NegativeParameter``.
+    ``spectral.signal_spectrum`` of H F.  The first searched rank, in the
+    requested order, with the strictly largest value wins, and only its
+    best factor gets a witness, built on ``spectral.factor_subspace``: the
+    reported raw value is the best value the search evaluated and ``M0``
+    is the rank it was scored at, which can fall below
+    ``diagnostics["target_rank"]``.  ``per_rank_raw`` holds each searched
+    rank's best value and ``per_rank_upper`` every requested rank's U_t.
+    ``diagnostics["inner_method"]`` is ``"exact"``: the inner minimum is
+    over all aligned families.  A ``search`` that is neither None nor a
+    ``SearchConfig`` raises ``NegativeParameter``.
     """
     search = _search_config(search)
     m_star = min(model.m_t, model.m_r)
@@ -305,21 +404,18 @@ def capacity_upper_bound(model: ChannelModel,
         return exact
 
     H = np.asarray(model.H)
-    v = model.white.eigvals.tolist()
-    m_s, a_max, kappa = model.m_s, model.a_max, model.field.kappa
-
-    def value(F):
-        """The inner minimum at covariance F F^dagger."""
-        lam = signal_spectrum(H @ F).tolist()
-        if not lam:
-            return 0.0
-        return _best_partition(enumerate_partitions(m_s, len(lam)), lam, v,
-                               a_max, m_s, kappa)[1]
-
-    Vh = np.linalg.svd(H)[2]
+    score, values = _scorers(model)
+    _, s, Vh = np.linalg.svd(H)
+    upper = _rank_uppers(score, s, model.P, targets)
     F_wf = psd_factor(Q_wf)
-    found = {t: _search_rank(model, value, Vh, F_wf, t, search) for t in targets}
-    best_t = max(found, key=lambda t: found[t][1])   # the first of equal values
+    found, best = {}, -math.inf
+    for t in sorted(targets, reverse=True):
+        if upper[t] + UPPER_BITS_SLACK * (1.0 + abs(upper[t])) < best:
+            break
+        found[t] = _search_rank(model, values, Vh, F_wf, t, search)
+        best = max(best, found[t][1])
+    searched = [t for t in targets if t in found]
+    best_t = max(searched, key=lambda t: found[t][1])   # the first of equal values
     best_F, _, n_starts, total_iters, exhausted = found[best_t]
     fam, raw = _witness(model, factor_subspace(H, best_F))
     diagnostics = {
@@ -331,11 +427,12 @@ def capacity_upper_bound(model: ChannelModel,
         "budget_exhausted": exhausted,
         "best_Q_x": _matrix_to_json(_hermitize(best_F @ best_F.conj().T)),
         "partition": [list(g) for g in fam.group_map],
-        "per_rank_raw": {str(t): f[1] for t, f in found.items()},
+        "per_rank_raw": {str(t): found[t][1] for t in searched},
+        "per_rank_upper": {str(t): upper[t] for t in targets},
     }
     return BoundReport(value_bits=min(raw, if_cap), raw_value_bits=raw,
-                       M0=fam.M0, kappa=kappa, soundness=Soundness.HEURISTIC_SUP,
-                       diagnostics=diagnostics)
+                       M0=fam.M0, kappa=model.field.kappa,
+                       soundness=Soundness.HEURISTIC_SUP, diagnostics=diagnostics)
 
 
 def outer_sup(model: ChannelModel, M0_target: int,

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RANK_TOL, WhitenedState, _freeze, _hermitize, whiten_state
-from .errors import NotSquare
+from .channel import (RANK_TOL, WhitenedState, _freeze, _hermitize, is_psd,
+                      whiten_state)
+from .errors import NotPSD, NotSquare
 
 
 @dataclass(frozen=True)
@@ -36,18 +37,23 @@ class SignalSubspace:
         return self.spectrum.size
 
 
-def signal_spectrum(HF) -> np.ndarray:
+def signal_spectrum(HF):
     """The signal spectrum of Q_x = F F^dagger from the product H F.
 
     The one signal-rank rule: the squared singular values of H F, kept
     when above ``RANK_TOL`` times the largest (none for a numerically zero
-    H F), descending.  Its length is the signal rank M0.
+    H F), descending.  Its length is the signal rank M0.  A stack of
+    products, of shape (..., m, k), takes one stacked ``svd`` and gives a
+    list of spectra, one per product in C order.
     """
-    s = np.linalg.svd(HF, compute_uv=False)
-    lam = s * s
-    if lam.size == 0 or lam[0] <= 0.0:
-        return lam[:0]
-    return lam[lam > RANK_TOL * lam[0]]
+    lam = np.linalg.svd(HF, compute_uv=False)
+    lam = lam * lam
+    # descending, so the kept values are a prefix; a zero row keeps none
+    kept = (lam > RANK_TOL * lam[..., :1]).sum(axis=-1)
+    if lam.ndim == 1:
+        return lam[:kept]
+    rows = lam.reshape(-1, lam.shape[-1])
+    return [row[:n] for row, n in zip(rows, kept.ravel().tolist())]
 
 
 def factor_subspace(H, F) -> SignalSubspace:
@@ -65,11 +71,15 @@ def factor_subspace(H, F) -> SignalSubspace:
 
 def psd_factor(Q) -> np.ndarray:
     """A factor F with F F^dagger = Q for PSD ``Q``: its eigenvectors
-    scaled by the root eigenvalues, ascending, with negative eigenvalues
-    clipped to zero.  Within the bound, ``Q`` is a water-filling covariance
-    or a Q_x that ``channel.input_covariance`` held to the PSD floor, so
-    the clip removes only rounding."""
+    scaled by the root eigenvalues, ascending.
+
+    Raises ``NotPSD`` when the eigenvalues fail :func:`channel.is_psd`, so
+    an indefinite ``Q`` is never read as its PSD part; negative
+    eigenvalues within that floor are rounding, clipped to zero.
+    """
     w, V = np.linalg.eigh(_hermitize(np.asarray(Q)))
+    if not is_psd(w):
+        raise NotPSD(f"covariance has eigenvalue {w[0]:g} below the PSD tolerance")
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -78,7 +88,8 @@ def signal_subspace(H, Q_x) -> SignalSubspace:
 
     ``Q_x`` is factored by :func:`psd_factor` and the factor passed to
     :func:`factor_subspace`, so ``M0`` follows the rule of
-    :func:`signal_spectrum`.
+    :func:`signal_spectrum`; a ``Q_x`` below the PSD floor raises
+    ``NotPSD``.
     """
     return factor_subspace(H, psd_factor(Q_x))
 

@@ -35,6 +35,10 @@ member: the library's stacked ``logdet_psd`` and witness evaluator
 ``oracle.witness_value`` must reproduce them bit for bit.
 ``loop_dof_upper_bound`` evaluates the dimension-counting DOF cap at
 every signal rank.
+``sequential_coordinate_ascent`` is the outer factor ascent scoring one
+step at a time, with one ``svd`` and one ``np.linalg.norm`` per
+candidate: the library scores each coordinate's steps as one stack and
+must return the same factor, value, iteration count and flag bit for bit.
 """
 
 from __future__ import annotations
@@ -425,3 +429,43 @@ def matrix_objective(model: ChannelModel, Q_x, fam: AdversaryFamily) -> float:
 def loop_dof_upper_bound(m_star: int, m_s: int) -> float:
     """The dimension-counting DOF cap, maximised over every rank 1..m_star."""
     return max(dof_fixed_rank(m0, m_s) for m0 in range(1, m_star + 1))
+
+
+def sequential_coordinate_ascent(value, F0: np.ndarray, P: float,
+                                 max_iters: int) -> tuple[np.ndarray, float, int, bool]:
+    """Maximize ``value(F)`` over factors on the Frobenius sphere of radius
+    sqrt(P), one candidate step at a time."""
+    scale = math.sqrt(P)
+
+    def renorm(F):
+        n = float(np.linalg.norm(F))
+        return F * (scale / n) if n > 0 else F
+
+    F = renorm(F0.copy())
+    best = value(F)
+    step = 0.25 * scale
+    is_complex = np.iscomplexobj(F)
+    iters = 0
+    exhausted = False
+    while True:
+        if iters >= max_iters:
+            exhausted = True
+            break
+        iters += 1
+        improved = 0.0
+        for idx in np.ndindex(F.shape):
+            deltas = (step, -step, 1j * step, -1j * step) if is_complex \
+                else (step, -step)
+            for d in deltas:
+                cand = F.copy()
+                cand[idx] += d
+                cand = renorm(cand)
+                val = value(cand)
+                if val > best:
+                    improved += val - best
+                    F, best = cand, val
+        if improved <= 1e-8 * (abs(best) + 1e-12):
+            step *= 0.5
+            if step < 1e-9 * scale:
+                break
+    return F, best, iters, exhausted

@@ -11,8 +11,8 @@ import pytest
 
 from dpbound import (DofScenario, FieldKind, Rank1Inputs, SearchConfig, SweepSpec,
                      brute_force_inner_inf, capacity_upper_bound, dof_fixed_rank,
-                     dof_upper_bound, inner_inf, outer_sup, run_sweep, validate_model,
-                     whiten_state, witness_value)
+                     dof_upper_bound, inner_inf, outer_sup, run_sweep, signal_subspace,
+                     validate_model, whiten_state, witness_value)
 from dpbound.channel import EPS_PSD
 from dpbound.errors import (BadSpec, DimensionMismatch, FieldMismatch,
                             NegativeParameter, NonFinite, NotPSD, QsRankDeficient)
@@ -74,6 +74,21 @@ BOUNDARY = {
     "grid-qx-negative": (lambda: brute_force_inner_inf(SCALAR, [[-4.0]], 8), NotPSD),
     "grid-qx-complex-on-real": (lambda: brute_force_inner_inf(MIMO, COMPLEX_QX, 8),
                                 FieldMismatch),
+    # ... whose entries are numbers (BadSpec, as in a model file) that fit
+    # in a float, for H, Q_s and Q_x alike
+    **{f"{name}-{label}": ((lambda f=f, M=M: f(M)), error)
+       for name, f in (("model-h", lambda M: validate_model(1, 1, 1, M, [[1.0]], 1, 1)),
+                       ("model-qs", lambda M: validate_model(1, 1, 1, [[1.0]], M, 1, 1)),
+                       ("inner-inf-qx", lambda M: inner_inf(SCALAR, M)))
+       for label, M, error in (("int-past-float", [[10 ** 400]], NonFinite),
+                               ("string", [["a"]], BadSpec),
+                               ("numeric-string", [["1.5"]], BadSpec),
+                               ("none", [[None]], BadSpec))},
+    "model-h-ragged": (lambda: validate_model(2, 2, 1, [[1.0], [1.0, 2.0]], [[1.0]],
+                                              1.0, 1.0), DimensionMismatch),
+    # the public signal_subspace reads Q_x through the same PSD floor
+    "signal-subspace-qx-indefinite": (lambda: signal_subspace(np.eye(2), INDEFINITE_QX),
+                                      NotPSD),
     # the same matrix rule for Q_s, through the public whiten_state
     "whiten-nan": (lambda: whiten_state([[math.nan]]), NonFinite),
     "whiten-row": (lambda: whiten_state([[1.0, 0.0]]), DimensionMismatch),

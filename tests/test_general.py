@@ -29,7 +29,8 @@ from dpbound import (
 from dpbound.errors import NegativeParameter, PartitionMismatch, RankZeroSignal
 from dpbound.channel import _matrix_from_json
 import dpbound.general
-from dpbound.general import _best_partition
+from dpbound.general import (UPPER_BITS_SLACK, _best_partition, _coordinate_ascent,
+                             _rank_uppers, _renorm, _scorers)
 from dpbound.spectral import factor_subspace, signal_spectrum
 from dpbound.oracle import witness_tolerance, witness_value
 
@@ -41,10 +42,23 @@ from reference_oracles import (
     exhaustive_partitions,
     matrix_objective,
     numpy_fast_value,
+    sequential_coordinate_ascent,
 )
 
 P15 = 10.0 ** 1.5
 FAST_SEARCH = SearchConfig(restarts=3, max_iters=60)
+
+
+def assert_ranks_accounted(rep, ranks):
+    """The searched ranks plus the skipped ranks are the requested ranks,
+    and each skipped rank's upper end lies below the raw bound by the
+    margin."""
+    raw, upper = rep.diagnostics["per_rank_raw"], rep.diagnostics["per_rank_upper"]
+    assert list(upper) == [str(t) for t in ranks]
+    assert set(raw) <= set(upper)
+    for t in set(upper) - set(raw):
+        U = upper[t]
+        assert U + UPPER_BITS_SLACK * (1.0 + abs(U)) < rep.raw_value_bits
 
 
 def scalar_model(a_max, P=P15, v=1.0):
@@ -238,7 +252,7 @@ def test_bound_needs_no_matrix_logdet(monkeypatch):
     rep = capacity_upper_bound(m, SearchConfig(restarts=1, max_iters=5))
     assert math.isfinite(rep.raw_value_bits)
     assert rep.diagnostics["inner_method"] == "exact"
-    assert set(rep.diagnostics["per_rank_raw"]) == {"1", "2", "3"}
+    assert_ranks_accounted(rep, (1, 2, 3))
 
 
 def test_inner_inf_single_partition():
@@ -455,7 +469,7 @@ def test_fast_evaluator_matches_matrix_path(rng):
 def test_per_rank_diagnostics_present():
     m = validate_model(2, 2, 2, np.eye(2), np.eye(2), 2.0, 4.0)
     rep = capacity_upper_bound(m, FAST_SEARCH)
-    assert set(rep.diagnostics["per_rank_raw"]) == {"1", "2"}
+    assert_ranks_accounted(rep, (1, 2))
     assert rep.diagnostics["restarts"] >= 3
     doc = rep.to_json()
     assert doc["soundness"] == "HeuristicSup"
@@ -685,7 +699,8 @@ def test_reported_rank_is_witness_rank_random(rng):
 
 
 def test_one_witness_per_bound(monkeypatch):
-    # every rank is searched, but only the winning rank's factor is built
+    # every rank is searched or skipped, but only the winning rank's factor
+    # is built
     built = []
     real = dpbound.general.build_family
 
@@ -697,8 +712,127 @@ def test_one_witness_per_bound(monkeypatch):
     H = [[1.0, 0.3, -0.2], [0.1, 0.8, 0.4], [-0.5, 0.2, 1.2]]
     m = validate_model(3, 3, 3, H, np.diag([3.0, 1.0, 0.5]), 5.0, 10.0)
     rep = capacity_upper_bound(m, SearchConfig(restarts=2, max_iters=10))
-    assert set(rep.diagnostics["per_rank_raw"]) == {"1", "2", "3"}
+    assert_ranks_accounted(rep, (1, 2, 3))
     assert len(built) == 1
+
+
+def _search_model(rng, complex_field):
+    """A seeded model with 2-4 antennas each way and m_s in 1..5."""
+    m_t, m_r = (int(n) for n in rng.integers(2, 5, size=2))
+    m_s = int(rng.integers(1, 6))
+    H = rng.standard_normal((m_r, m_t))
+    if complex_field:
+        H = H + 1j * rng.standard_normal((m_r, m_t))
+    Q_s = rand_psd(rng, m_s, complex_field=complex_field)
+    a_max, P = np.exp(rng.uniform(np.log(0.1), np.log(100.0), size=2))
+    return validate_model(m_t, m_r, m_s, H, Q_s, float(a_max), float(P),
+                          "complex" if complex_field else "real")
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_bound_is_the_first_strict_max_over_ranks(complex_field):
+    # skipping ranks from the top down picks the rank, factor and value
+    # that searching every rank picks
+    rng = np.random.default_rng(22 + complex_field)
+    search = SearchConfig(restarts=2, max_iters=20)
+    skipped = 0
+    for _ in range(10):
+        m = _search_model(rng, complex_field)
+        ranks = range(1, min(m.m_t, m.m_r) + 1)
+        reps = [outer_sup(m, t, search) for t in ranks]
+        want = max(reps, key=lambda r: r.raw_value_bits)   # the first of equal values
+        rep = capacity_upper_bound(m, search)
+        assert rep.raw_value_bits == want.raw_value_bits
+        assert rep.value_bits == want.value_bits
+        assert rep.M0 == want.M0
+        assert rep.diagnostics["best_Q_x"] == want.diagnostics["best_Q_x"]
+        assert rep.diagnostics["target_rank"] == want.diagnostics["target_rank"]
+        assert_ranks_accounted(rep, ranks)
+        for t, r in zip(ranks, reps):
+            if str(t) in rep.diagnostics["per_rank_raw"]:
+                assert rep.diagnostics["per_rank_raw"][str(t)] == r.raw_value_bits
+        skipped += len(ranks) - len(rep.diagnostics["per_rank_raw"])
+    assert skipped > 0
+
+
+def test_rank_upper_ends_bound_every_factor(rng):
+    # U_t is at least every searched value and the value of any full-power
+    # rank-t factor, the top singular direction (where U_1 is tight) included
+    search = SearchConfig(restarts=2, max_iters=20)
+    for k in range(12):
+        m = _search_model(rng, complex_field=bool(k % 2))
+        rep = capacity_upper_bound(m, search)
+        upper = rep.diagnostics["per_rank_upper"]
+        for t, raw in rep.diagnostics["per_rank_raw"].items():
+            assert upper[t] >= raw
+        _, values = _scorers(m)
+        H = np.asarray(m.H)
+        top = np.linalg.svd(H)[2].conj().T[:, :1] * math.sqrt(m.P)
+        assert values(top[None])[0] <= upper["1"]
+        for t in range(1, min(m.m_t, m.m_r) + 1):
+            Fs = rng.standard_normal((100, m.m_t, t)).astype(H.dtype)
+            if np.iscomplexobj(H):
+                Fs = Fs + 1j * rng.standard_normal(Fs.shape)
+            for F in Fs:
+                _renorm(F, math.sqrt(m.P))
+            assert max(values(Fs)) <= upper[str(t)]
+
+
+def test_rank_upper_ends_cover_collapsed_spectra():
+    # the inner minimum V_k at the top-k spectrum ends P s_r^2 can drop as
+    # k grows, so U_t takes the max over k <= t: a rank-t factor whose
+    # spectrum collapses to k < t is still covered, and U_t never
+    # decreases in t, which the top-down skip relies on
+    rng = np.random.default_rng(5)
+    dropped = 0
+    for k in range(100):
+        m = _search_model(rng, complex_field=bool(k % 2))
+        score, _ = _scorers(m)
+        s = np.linalg.svd(np.asarray(m.H), compute_uv=False)
+        ranks = range(1, s.size + 1)
+        upper = _rank_uppers(score, s, m.P, ranks)
+        V = [score((m.P * s[:t] ** 2).tolist()) for t in ranks]
+        for t in ranks:
+            assert upper[t] >= max(V[:t])
+        assert list(upper.values()) == sorted(upper.values())
+        dropped += V != sorted(V)
+    assert dropped > 0
+
+
+def _ascent_starts(rng):
+    """Seeded (model, start) pairs: real and complex, m_t > m_r, and rank
+    collapse (H of rank one, a start in H's null space, a zero start)."""
+    for k in range(12):
+        m = _search_model(rng, complex_field=bool(k % 2))
+        t = int(rng.integers(1, min(m.m_t, m.m_r) + 1))
+        F0 = rng.standard_normal((m.m_t, t)).astype(np.asarray(m.H).dtype)
+        yield m, F0
+    u, w = rng.standard_normal((2, 1)), rng.standard_normal((4, 1))
+    collapsed = validate_model(4, 2, 3, u @ w.T, np.diag([3.0, 1.0, 0.5]), 5.0, 10.0)
+    yield collapsed, rng.standard_normal((4, 2))
+    null = np.linalg.svd(np.asarray(collapsed.H))[2][1:].T      # 4 x 3, H null = 0
+    yield collapsed, null[:, :2] + 0.0
+    yield collapsed, np.zeros((4, 2))
+    wide = validate_model(4, 2, 2, rng.standard_normal((2, 4)), np.eye(2), 2.0, 4.0)
+    yield wide, rng.standard_normal((4, 2))
+
+
+@pytest.mark.parametrize("max_iters", [3, 40])
+def test_stacked_ascent_matches_sequential_oracle(max_iters):
+    rng = np.random.default_rng(2206 + max_iters)
+    for m, F0 in _ascent_starts(rng):
+        score, values = _scorers(m)
+        H = np.asarray(m.H)
+        F0 = np.asfortranarray(F0)      # the fixed starts are Fortran-ordered
+
+        def value(F):
+            return score(signal_spectrum(H @ F).tolist())
+
+        F, best, iters, exhausted = _coordinate_ascent(values, F0, m.P, max_iters)
+        F_ref, best_ref, iters_ref, exhausted_ref = sequential_coordinate_ascent(
+            value, F0, m.P, max_iters)
+        assert F.tobytes() == F_ref.tobytes() and F.shape == F_ref.shape
+        assert (best, iters, exhausted) == (best_ref, iters_ref, exhausted_ref)
 
 
 def test_outer_sup_is_the_bound_at_one_rank(rng):

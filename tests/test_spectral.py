@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpbound import signal_subspace, whiten_state
+from dpbound import signal_subspace, water_filling, whiten_state
 from dpbound.errors import NotPSD, NotSquare, QsRankDeficient
-from dpbound.spectral import logdet_psd, signal_spectrum
+from dpbound.spectral import logdet_psd, psd_factor, signal_spectrum
 
-from conftest import rand_psd
+from conftest import rand_model, rand_psd
 from reference_oracles import logdet_ratio, single_logdet_psd
 
 
@@ -90,6 +90,33 @@ def test_signal_subspace_is_the_factor_rule(rng):
         assert sub.spectrum == pytest.approx(want, rel=1e-12, abs=0)
         compared += 1
     assert compared >= 100
+
+
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_signal_spectrum_stack_matches_single_products(complex_field):
+    # one stacked svd keeps, for each product, exactly the spectrum the
+    # single call keeps, zero and rank-deficient products included
+    rng = np.random.default_rng(31 + complex_field)
+    for n_r, n_t, k in [(2, 2, 1), (2, 4, 2), (4, 2, 3), (3, 3, 3), (1, 3, 2)]:
+        HF = rng.standard_normal((40, n_r, n_t)) @ rng.standard_normal((40, n_t, k))
+        if complex_field:
+            HF = HF + 1j * rng.standard_normal(HF.shape)
+        HF[0] = 0.0
+        HF[1] = HF[1][:, :1] @ np.ones((1, k))          # rank one
+        got = signal_spectrum(HF)
+        assert len(got) == len(HF)
+        for lam, M in zip(got, HF):
+            assert lam.tobytes() == signal_spectrum(M).tobytes()
+        assert got[0].size == 0 and got[1].size == 1
+    assert [lam.size for lam in signal_spectrum(np.ones((2, 3, 2, 2)))] == [1] * 6
+
+
+def test_psd_factor_passes_water_filling_covariances(rng):
+    for _ in range(100):
+        m = rand_model(rng, max_dim=4)
+        Q_wf = water_filling(m)[1]
+        F = psd_factor(Q_wf)
+        assert np.allclose(F @ F.conj().T, Q_wf, atol=1e-9 * (1 + np.abs(Q_wf).max()))
 
 
 def test_negative_rounding_eigenvalue_is_clipped():
